@@ -7,7 +7,8 @@ the helper lives in.
 
 * **MOB004 — transitive hot-path determinism.**  Every function reachable
   from the simulator event loop (``Simulator.run`` / ``run_batched``), the
-  branch-and-bound solve loop, or ``FlowNetwork._reallocate`` must be free
+  partition and mapping searches (``mip_partition`` / ``cross_mapping``),
+  ``FlowNetwork._reallocate``, or the serve answer ladder must be free
   of clock reads and unseeded RNG draws.  Honors the same
   ``clock_allowlist`` site keys as MOB002's strict variant.
 
@@ -107,7 +108,10 @@ class AnalysisConfig:
     entry_points: tuple[str, ...] = (
         "repro.sim.engine.Simulator.run",
         "repro.sim.engine.Simulator.run_batched",
-        "repro.solver.branch_bound.BranchAndBoundSolver.solve",
+        # Plans must not depend on machine speed: the partition search
+        # stops on its node budget alone, the mapping search is exhaustive.
+        "repro.core.partition.mip_partition",
+        "repro.core.mapping.cross_mapping",
         "repro.sim.resources.FlowNetwork._reallocate",
         # The daemon's answer ladder: everything between a dequeued job
         # and its PlanResponse must be transitively clock/RNG-free, or a
@@ -130,16 +134,10 @@ class AnalysisConfig:
         # global they can write must be a documented seam.
         "repro.serve.daemon.PlanService._dispatch_loop",
         "repro.serve.supervisor._process_worker_main",
-        # The portfolio's per-backend racing children: they share the
-        # parent's module namespace at spawn time, so their writes are
-        # held to the same seam discipline.
-        "repro.solver.portfolio._portfolio_worker_main",
     )
     #: Module globals whose *touching* functions join the MOB007 frontier.
     race_registries: tuple[str, ...] = (
         "repro.core.api._PARTITION_HINTS",
-        "repro.solver.portfolio._PAIRS",
-        "repro.solver.portfolio._IDLE_PAIRS",
     )
     #: Documented synchronization seams: writes inside these are sanctioned.
     sync_seams: frozenset[str] = frozenset(
@@ -149,10 +147,6 @@ class AnalysisConfig:
             "repro.core.api.set_partition_hint_capacity",
             "repro.core.api.set_partition_hint_store",
             "repro.sim.tasks._next_task_uid",
-            "repro.solver.portfolio._acquire_pair",
-            "repro.solver.portfolio._release_pair",
-            "repro.solver.portfolio._discard_pair",
-            "repro.solver.portfolio.shutdown_portfolio_pool",
         }
     )
     clock_allowlist: frozenset[str] = _LINT_DEFAULTS.clock_allowlist

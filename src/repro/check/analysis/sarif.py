@@ -30,7 +30,7 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "allowlisted reporting sites.",
     "MOB003": "Task labels must come from repro.core.labels constructors or "
     "match its compiled patterns.",
-    "MOB004": "Functions reachable from the simulator/solver hot loops must "
+    "MOB004": "Functions reachable from the simulator/planner hot loops must "
     "be transitively clock- and RNG-free.",
     "MOB005": "Unordered set iteration on a hot path must not feed heap "
     "pushes, trace appends, fingerprints, or accumulation.",

@@ -36,8 +36,9 @@ from repro.sim.tasks import TaskGraphRunner
 
 __all__ = ["CorpusCell", "default_corpus", "check_cell", "run_corpus"]
 
-#: Search budget per MIP solve; the corpus models are small enough that the
-#: solver proves optimality well inside this.
+#: ``partition_time_limit`` of every cell (a solve-key slot and the modeled
+#: re-plan latency; the search itself stops on its node budget and proves
+#: optimality on every corpus cell).
 _TIME_LIMIT = 2.0
 
 
@@ -75,9 +76,9 @@ def default_corpus() -> list[CorpusCell]:
     """The default cells: two models crossed with the paper's servers.
 
     Datacenter-scale coverage deliberately lives elsewhere: every corpus
-    cell also feeds the literal Eq. 3-11 partition MIP into the solver
-    parity tests and ``solvebench``, so cells must stay small enough for a
-    dense MILP cross-check.  The 1024-GPU regime is exercised by the
+    cell also feeds the literal Eq. 3-11 partition MIP into the HiGHS
+    oracle parity tests and ``solvebench``, so cells must stay small enough
+    for a dense MILP cross-check.  The 1024-GPU regime is exercised by the
     simulator bench's ``large`` section (:mod:`repro.sim.workloads`), which
     simulates a synthetic task graph without planning it.
     """

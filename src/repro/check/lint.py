@@ -15,13 +15,14 @@ three that have bitten (or would silently bite) the reproduction:
   (``import random``, legacy ``numpy.random.*`` calls).  The simulator's
   virtual clock is the only time source there; ``time.perf_counter`` is
   allowed because it only feeds search-duration metadata, never results.
-  Modules under ``repro/solver/`` and ``repro/sim/`` are held to the
-  *strict* variant: the solver runs under deterministic node/pivot budgets
-  and the simulator under its virtual clock, so even monotonic clocks
-  (``perf_counter``, ``monotonic``) are banned except at explicitly
-  allowlisted reporting sites (``clock_allowlist``) — ``solve_seconds``
-  metadata and the ``simbench``/``solvebench`` wall-time columns, which
-  are informational by contract.
+  Modules under ``repro/solver/``, ``repro/sim/``, ``repro/serve/`` and
+  the partition and mapping searches in ``repro/core/`` are held to the
+  *strict* variant: the partition search runs under a deterministic node
+  budget and the simulator under its virtual clock, so even monotonic
+  clocks (``perf_counter``, ``monotonic``) are banned except at explicitly
+  allowlisted reporting sites (``clock_allowlist``) — ``solve_seconds`` /
+  ``search_seconds`` metadata and the bench wall-time columns, which are
+  informational by contract.
 
 * **MOB003 — task-label contract.**  Task labels built in
   ``repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
@@ -138,7 +139,7 @@ class LintConfig:
         # Fault injection must be as deterministic as the simulator it
         # perturbs: failure coins come from content hashes, never RNGs.
         "src/repro/faults/",
-        # The MILP stack stops on node/pivot budgets, never the clock.
+        # The solver bench and the HiGHS oracle feed deterministic gates.
         "src/repro/solver/",
         # The planning daemon answers from caches, budget-limited solves
         # and scripted chaos — its responses are content-addressed, so no
@@ -154,23 +155,26 @@ class LintConfig:
         # are banned so a deadline can never become wall-clock control
         # flow.  (time.sleep for restart pacing is waiting, not reading.)
         "src/repro/serve/",
+        # Plans must not depend on machine speed: the partition search
+        # stops on its node budget and the mapping search is exhaustive.
+        "src/repro/core/partition.py",
+        "src/repro/core/mapping.py",
     )
     clock_allowlist: frozenset[str] = frozenset(
         {
-            # The single sanctioned clock read: MIPSolution.solve_seconds
-            # reporting.  It feeds metadata only — budgets control the
-            # search — and stays out of every hot loop.
-            "src/repro/solver/branch_bound.py::BranchAndBoundSolver.solve",
+            # The partitioners' solve_seconds and the mapping search's
+            # search_seconds: reporting reads that bracket a finished,
+            # clock-free search and feed metadata only.
+            "src/repro/core/partition.py::mip_partition",
+            "src/repro/core/partition.py::max_stage_partition",
+            "src/repro/core/partition.py::min_stage_partition",
+            "src/repro/core/mapping.py::cross_mapping",
             # The benchmarks' wall times are informational by contract —
             # the solvebench CI gate compares node counts and parity only,
             # and the simbench gate compares fingerprints and allocator
             # work counters only.
-            "src/repro/solver/bench.py::_run_mip_rows",
             "src/repro/solver/bench.py::_run_partition_rows",
-            # Portfolio race walls are reporting-only: the race itself is
-            # decided by reply arrival order and backend rank inside
-            # repro/solver/portfolio.py, which reads no clocks at all.
-            "src/repro/solver/bench.py::_run_portfolio_rows",
+            "src/repro/solver/bench.py::_run_oracle_rows",
             "src/repro/sim/bench.py::_run_corpus_rows",
             "src/repro/sim/bench.py::_run_chaos_rows",
             "src/repro/sim/bench.py::_run_large_rows",
@@ -182,11 +186,6 @@ class LintConfig:
             # fingerprints always and the speedup ratio only against the
             # host's own CPU count, never across machines.
             "src/repro/serve/bench.py::_run_scaling_rows",
-            # Reachable from the serve daemon's answer ladder (MOB004):
-            # the mapping search's clock reads feed search_seconds
-            # metadata only — the search itself is exhaustive over a
-            # fixed permutation space.
-            "src/repro/core/mapping.py::cross_mapping",
         }
     )
     label_modules: tuple[str, ...] = ("src/repro/core/pipeline.py",)

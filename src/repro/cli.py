@@ -15,10 +15,10 @@ Subcommands:
 * ``chaos``    — run the fault-injection matrix (:mod:`repro.faults`):
   every check-corpus cell under dropout/degraded-link/straggler/flaky
   faults, asserting recovery; exits non-zero if any cell fails;
-* ``solvebench`` — benchmark the MIP solver stack (:mod:`repro.solver`)
-  over the check corpus: objective parity vs scipy/HiGHS, warm-vs-cold
-  invariance, node/pivot counts; ``--check-against`` gates CI on the
-  committed ``BENCH_solver.json``;
+* ``solvebench`` — benchmark the partition search over the check corpus:
+  node counts, warm-vs-cold invariance, and step-time parity with the
+  literal MIP solved on HiGHS (:mod:`repro.solver`); ``--check-against``
+  gates CI on the committed ``BENCH_solver.json``;
 * ``simbench`` — benchmark the discrete-event simulator (:mod:`repro.sim`)
   over the check corpus and chaos scenarios: trace fingerprints plus the
   incremental allocator's work counters; ``--check-against`` gates CI on
@@ -90,12 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--microbatch", type=int, default=None, help="microbatch size")
         p.add_argument(
-            "--time-limit", type=float, default=5.0, help="MIP search budget (s)"
-        )
-        p.add_argument(
-            "--solver-mode", default="solo", choices=("solo", "portfolio"),
-            help="solo B&B, or race it against the HiGHS backend "
-            "(bit-identical result, lower latency)",
+            "--time-limit", type=float, default=5.0,
+            help="modeled re-planning latency (s); the MIP search itself is "
+            "bounded by its node budget only",
         )
 
     plan = sub.add_parser("plan", help="run the Mobius planner and print the plan")
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solvebench = sub.add_parser(
         "solvebench",
-        help="benchmark the MIP solver stack over the check corpus",
+        help="benchmark the partition search against the HiGHS oracle",
     )
     solvebench.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
@@ -207,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solvebench.add_argument(
         "--check-against", default=None, metavar="PATH",
-        help="committed BENCH_solver.json baseline; exit 1 on objective-"
-        "parity or >25%% node-count regression",
+        help="committed BENCH_solver.json baseline; also exit 1 on a "
+        "missing row or a >25%% node-count regression",
     )
 
     simbench = sub.add_parser(
@@ -286,7 +283,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         MobiusConfig(
             microbatch_size=args.microbatch,
             partition_time_limit=args.time_limit,
-            solver_mode=args.solver_mode,
         ),
     )
     print(report.plan.describe())
@@ -474,44 +470,25 @@ def _cmd_solvebench(args: argparse.Namespace) -> int:
         write_bench(args.json, document)
         print(f"benchmark written to {args.json}")
     else:
-        for row in document["mip"]:
-            flag = "ok" if row["parity"] and row["warm_identical"] else "FAIL"
-            print(
-                f"mip {row['name']:<24} {row['status']:<10} "
-                f"nodes={row['nodes']:<6} pivots={row['pivots']:<7} "
-                f"warm={row['warm_nodes']:<6} [{flag}]"
-            )
         for row in document["partition"]:
             flag = "ok" if row["warm_identical"] else "FAIL"
             print(
                 f"partition {row['name']:<18} nodes={row['nodes']:<6} "
-                f"warm={row['warm_nodes']:<6} [{flag}]"
+                f"warm={row['warm_nodes']:<6} optimal={row['optimal']} [{flag}]"
             )
-        for row in document["portfolio"]:
+        for row in document["oracle"]:
             flag = "ok" if row["parity"] else "FAIL"
             print(
-                f"portfolio {row['name']:<18} winner={row['winner']:<6} "
-                f"bnb={row['bnb_wall_seconds']}s "
-                f"highs={row['highs_wall_seconds']}s "
-                f"race={row['race_wall_seconds']}s [{flag}]"
+                f"oracle    {row['name']:<18} "
+                f"modeled step={row['step_seconds']:.6f}s "
+                f"highs={row['oracle_step_seconds']:.6f}s "
+                f"(host wall {row['wall_seconds']}s) [{flag}]"
             )
-        print(f"portfolio wins: {document['portfolio_wins']}")
-    failures = [
-        f"{section}:{row['name']}: "
-        + ("parity failed" if not row.get("parity", True) else "warm != cold")
-        for section in ("mip", "partition")
-        for row in document[section]
-        if not (row.get("parity", True) and row.get("warm_identical", True))
-    ]
-    failures.extend(
-        f"portfolio:{row['name']}: raced result diverged from solo B&B"
-        for row in document["portfolio"]
-        if not row.get("parity", True)
-    )
+    baseline = None
     if args.check_against is not None:
         with open(args.check_against) as f:
             baseline = json.load(f)
-        failures.extend(compare_benchmarks(document, baseline))
+    failures = compare_benchmarks(document, baseline)
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -22,7 +22,6 @@ from repro.core.mapping import (
 )
 from repro.core.partition import (
     PartitionResult,
-    PartitionSearchCancelled,
     PlanInfeasibleError,
     max_stage_partition,
     min_stage_partition,
@@ -49,7 +48,6 @@ __all__ = [
     "MobiusRun",
     "Partition",
     "PartitionResult",
-    "PartitionSearchCancelled",
     "PipelineTimings",
     "PlanInfeasibleError",
     "build_mobius_tasks",

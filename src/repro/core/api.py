@@ -34,10 +34,9 @@ from repro.models.profiler import ProfileReport, Profiler
 from repro.models.spec import ModelSpec
 from repro.perf.cache import get_cache
 from repro.sim.trace import Trace
-from repro.solver.warmstart import WarmStartContext
 
-#: Last MIP partition per (model, device, microbatch) — warm-start hints
-#: for subsequent related solves (scalability sweeps, fault re-plans).
+#: Last MIP partition boundaries per (model, device, microbatch): warm-start
+#: hints for subsequent related solves (scalability sweeps, fault re-plans).
 #: Hints cannot change results, so this is not a result cache and needs no
 #: invalidation beyond process lifetime.  Access goes through the
 #: lock-guarded ``_get_partition_hint`` / ``_put_partition_hint`` seams:
@@ -50,14 +49,14 @@ from repro.solver.warmstart import WarmStartContext
 #: so a long-running planning service cannot leak hints without bound.
 #: Eviction is deterministic — it depends only on the access sequence —
 #: and invisible in results: hints seed the incumbent only.
-_PARTITION_HINTS: dict[tuple, WarmStartContext] = {}
+_PARTITION_HINTS: dict[tuple, tuple[int, ...]] = {}
 _PARTITION_HINTS_LOCK = threading.Lock()
 _PARTITION_HINT_CAPACITY = 64
 
 #: Optional durable hint sink/source (``repro.serve.store.DurableStore``
-#: duck-type: ``get_hint(key) -> WarmStartContext | None`` and
+#: duck-type: ``get_hint(key) -> tuple[int, ...] | None`` and
 #: ``put_hint(key, hint)``).  Installed by the serve daemon so a restarted
-#: process inherits N±1 solver bases from prior runs; ``None`` outside it.
+#: process inherits N±1 partition hints from prior runs; ``None`` outside it.
 _HINT_STORE = None
 
 
@@ -91,7 +90,7 @@ def set_partition_hint_capacity(capacity: int) -> None:
             del _PARTITION_HINTS[next(iter(_PARTITION_HINTS))]
 
 
-def _get_partition_hint(hint_key: tuple) -> WarmStartContext | None:
+def _get_partition_hint(hint_key: tuple) -> tuple[int, ...] | None:
     """Synchronization seam: read a warm-start hint (MOB007-sanctioned).
 
     A registry hit refreshes the key's LRU position; a miss falls through
@@ -115,7 +114,7 @@ def _get_partition_hint(hint_key: tuple) -> WarmStartContext | None:
         return hint
 
 
-def _put_partition_hint(hint_key: tuple, hint: WarmStartContext) -> None:
+def _put_partition_hint(hint_key: tuple, hint: tuple[int, ...]) -> None:
     """Synchronization seam: publish a warm-start hint (MOB007-sanctioned).
 
     Last-writer-wins is safe: any stored hint seeds the incumbent only and
@@ -186,6 +185,8 @@ def partition_solve_key(
     n_gpus = topology.n_gpus
     time_limit = max_nodes = None
     if config.partition_method == "mip":
+        # The search never reads partition_time_limit; the slot keeps
+        # solve keys (and the suite's cell fingerprints) stable.
         time_limit = config.partition_time_limit
         if config.partition_max_nodes is not None:
             max_nodes = config.partition_max_nodes
@@ -214,7 +215,11 @@ class MobiusConfig:
         partition_method: ``"mip"`` (default), ``"max-stage"`` or
             ``"min-stage"`` (§4.3 ablation).
         mapping_method: ``"cross"`` (default) or ``"sequential"`` (§4.4).
-        partition_time_limit: Search budget for the MIP partitioner.
+        partition_time_limit: Modeled re-planning latency in seconds.  It
+            no longer bounds the search (the node budget is the only
+            limit); it is charged as ``replan_seconds`` by
+            :mod:`repro.faults.replan` and keeps its slot in
+            :func:`partition_solve_key`.
         partition_max_nodes: Deterministic node budget for the MIP
             partition search (``None`` keeps the partitioner's default).
             This is how ``repro.serve`` enforces per-request deadlines:
@@ -225,14 +230,9 @@ class MobiusConfig:
         use_priorities: Prefetch priority streams (§3.3).
         bandwidth: Average bandwidth ``B`` for the MIP; defaults to the
             topology's PCIe link bandwidth.
-        solver_mode: ``"solo"`` (default) solves the MIP partition with
-            the branch-and-bound alone; ``"portfolio"`` races it against
-            the HiGHS backend (:func:`repro.solver.portfolio.
-            race_partition`) and returns the first eligible result.  Both
-            modes return bit-identical plans — portfolio only changes
-            latency — so this knob is *excluded* from the plan and
-            partition memoize keys: a solo cache entry satisfies a
-            portfolio request and vice versa.
+        solver_mode: Must be ``"solo"``: the boundary branch-and-bound is
+            the only partition solver.  Any other value raises
+            ``ValueError`` when planning.
     """
 
     microbatch_size: int | None = None
@@ -245,9 +245,6 @@ class MobiusConfig:
     use_priorities: bool = True
     bandwidth: float | None = None
     solver_mode: str = "solo"
-
-
-_SOLVER_MODES = ("solo", "portfolio")
 
 
 @dataclasses.dataclass
@@ -300,23 +297,13 @@ def plan_mobius(
     is enabled — returns the stored report without re-solving.  Treat the
     returned report as immutable.
     """
-    if config.solver_mode not in _SOLVER_MODES:
+    if config.solver_mode != "solo":
         raise ValueError(
-            f"unknown solver_mode {config.solver_mode!r}; "
-            f"expected one of {list(_SOLVER_MODES)}"
+            f"unknown solver_mode {config.solver_mode!r}; expected 'solo'"
         )
-    cache = get_cache()
-    # solver_mode is latency-only (portfolio results are bit-identical to
-    # solo), so the memoize key is normalized to the solo spelling: both
-    # modes share one cache entry.
-    key_config = (
-        config
-        if config.solver_mode == "solo"
-        else dataclasses.replace(config, solver_mode="solo")
-    )
-    return cache.memoize(
+    return get_cache().memoize(
         "plan",
-        ("plan_mobius", model, topology, key_config),
+        ("plan_mobius", model, topology, config),
         lambda: _plan_mobius_uncached(model, topology, config),
     )
 
@@ -342,16 +329,8 @@ def _plan_mobius_uncached(
     kwargs = {}
     hint_key = None
     if config.partition_method == "mip":
-        kwargs["time_limit"] = config.partition_time_limit
         if config.partition_max_nodes is not None:
             kwargs["max_nodes"] = config.partition_max_nodes
-        if config.solver_mode == "portfolio":
-            # Bit-identical to mip_partition (same signature, same result
-            # contract), just raced across backends — which is why the
-            # "partition" memoize key below stays mode-free.
-            from repro.solver.portfolio import race_partition
-
-            partitioner = race_partition
         # Warm start from the last MIP solve of the same model on the same
         # device class (the scalability sweep re-solves for N, N+1, ...;
         # fault replanning re-solves for N-1).  The hint seeds the
@@ -368,12 +347,7 @@ def _plan_mobius_uncached(
         lambda: partitioner(model, cost_model, n_gpus, n_microbatches, bandwidth, **kwargs),
     )
     if hint_key is not None:
-        _put_partition_hint(
-            hint_key,
-            WarmStartContext(
-                boundaries=partition_result.partition.boundaries, label="previous-solve"
-            ),
-        )
+        _put_partition_hint(hint_key, partition_result.partition.boundaries)
 
     n_stages = partition_result.partition.n_stages
     if config.mapping_method == "cross":

@@ -4,9 +4,10 @@ The production partitioner (:mod:`repro.core.partition`) searches stage
 *boundaries* with branch & bound; this module instead builds the MIP the
 paper writes down — boolean assignment variables ``B[i][j]`` ("layer i is
 in stage j", Table 2) with the full constraint system (Eqs. 4-11) — and
-solves it with the :mod:`repro.solver` stack.  It exists to validate the
-production path: for small instances both must return the same optimal
-step time (asserted by the test suite).
+solves it on HiGHS (:func:`repro.solver.scipy_backend.solve_milp_scipy`),
+the stand-in for the paper's Gurobi.  It is the oracle for the production
+path: on every check-corpus cell both must return the same optimal step
+time (asserted by the test suite and gated by ``repro solvebench``).
 
 Formulation notes:
 
@@ -29,12 +30,10 @@ import time
 from repro.core.plan import Partition
 from repro.models.costmodel import CostModel
 from repro.models.spec import ModelSpec
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPSolution
 from repro.solver.model import LinearProgram
-from repro.solver.scipy_backend import solve_milp_scipy
+from repro.solver.scipy_backend import MIPSolution, solve_milp_scipy
 
 __all__ = ["FormulationResult", "build_partition_mip", "solve_partition_mip"]
-
 
 
 @dataclasses.dataclass
@@ -228,14 +227,12 @@ def solve_partition_mip(
     *,
     gpu_memory: int | None = None,
     stage_counts: list[int] | None = None,
-    backend: str = "scipy",
     time_limit_per_stage: float = 20.0,
 ) -> FormulationResult:
-    """Solve the literal MIP over a range of stage counts; best wins.
+    """Solve the literal MIP on HiGHS over a range of stage counts; best wins.
 
-    Args:
-        backend: ``"scipy"`` (HiGHS) or ``"bnb"`` (our solver; small
-            instances only).
+    ``stage_counts`` defaults to every count from ``n_gpus`` to the layer
+    count, the same range the boundary search covers.
     """
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
@@ -249,7 +246,7 @@ def solve_partition_mip(
         lp, assign = build_partition_mip(
             model, cost_model, s, n_gpus, n_microbatches, bandwidth, gpu_memory
         )
-        solution = _solve(lp, backend, time_limit_per_stage)
+        solution = solve_milp_scipy(lp, time_limit=time_limit_per_stage)
         if not solution.ok:
             per_stage[s] = math.inf
             continue
@@ -268,14 +265,6 @@ def solve_partition_mip(
         solve_seconds=time.perf_counter() - started,
         per_stage_solutions=per_stage,
     )
-
-
-def _solve(lp: LinearProgram, backend: str, time_limit: float) -> MIPSolution:
-    if backend == "scipy":
-        return solve_milp_scipy(lp, time_limit=time_limit)
-    if backend == "bnb":
-        return BranchAndBoundSolver(time_limit=time_limit).solve(lp)
-    raise ValueError(f"unknown backend {backend!r}; expected 'scipy' or 'bnb'")
 
 
 def _extract_boundaries(solution: MIPSolution, assign) -> list[int]:

@@ -295,7 +295,7 @@ def resolve_jobs(requested: int | None = None, *, ceiling: int | None = None) ->
     An explicit ``requested`` wins verbatim (the operator asked for it);
     otherwise :func:`default_jobs` decides, optionally capped at
     ``ceiling`` (a pool whose useful parallelism is bounded — e.g. the
-    solver portfolio races exactly two backends — should not claim more
+    servebench worker ladder tops out at four — should not claim more
     of the container than it can use).
     """
     if requested is not None:

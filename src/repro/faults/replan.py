@@ -6,18 +6,12 @@ Recovery re-runs the *production* planning pipeline on the surviving
 topology — there is no separate recovery planner — and charges a modeled
 time-to-recover:
 
-* ``replan_seconds`` — the planner's search budget.  The MIP runs under a
-  deterministic node budget with a wall-clock safety ceiling, so the
-  configured budget (not the realized solve time) is the deterministic
-  model of re-planning latency.  The re-solve warm-starts from the
-  pre-fault partition (see :mod:`repro.solver.warmstart`), which shrinks
-  the realized search well below the budget.  With
-  ``config.solver_mode == "portfolio"`` the re-solve flows through the
-  racing portfolio (:mod:`repro.solver.portfolio`) for lower realized
-  latency — the *charged* time-to-recover is unchanged, because it is a
-  function of the budget and ``solver_nodes``, never of wall-clock
-  (MOB002): a faster backend changes when the answer arrives, not what
-  recovery costs in the deterministic model.
+* ``replan_seconds`` — modeled planner latency: the config's
+  ``partition_time_limit``.  The MIP itself stops on a deterministic node
+  budget and reads no clock, so the charged time-to-recover never depends
+  on the realized solve time (MOB002).  The re-solve warm-starts from the
+  pre-fault partition's boundaries (the ``repro.core.api`` hint
+  registry), which shrinks the realized search well below the budget.
 * ``migration_seconds`` — restoring the dropped GPU's stage state from the
   DRAM checkpoint.  Mobius keeps parameters in DRAM by design, so only the
   dead GPU's working set (the FP16 parameters of its stages) must be
@@ -87,8 +81,7 @@ class ReplanCostModel:
 
     Attributes:
         replan_seconds: Planner latency to charge; ``None`` charges the
-            config's MIP search budget (``partition_time_limit``), the
-            deterministic upper bound on the realized solve time.
+            config's ``partition_time_limit``.
         migration_overhead: Multiplier on the checkpoint-restage time
             (protocol overhead, verification reads; 1.0 = raw copy).
     """
@@ -144,14 +137,8 @@ class ReplanResult:
     @property
     def warm_started(self) -> bool:
         """Whether the re-plan's partition solve was seeded by a previous
-        solution (see ``repro.solver.warmstart.WarmStartContext``)."""
-        return getattr(self.plan_report.partition_result, "warm_started", False)
-
-    @property
-    def solver_backend(self) -> str:
-        """Which portfolio backend answered the re-plan (``"bnb"`` unless
-        ``config.solver_mode == "portfolio"`` let HiGHS win the race)."""
-        return getattr(self.plan_report.partition_result, "solver_backend", "bnb")
+        solution's boundaries."""
+        return self.plan_report.partition_result.warm_started
 
 
 def replan_after_dropout(

@@ -58,7 +58,9 @@ __all__ = [
 #: v3: Trace moved to columnar span storage — its pickle payload is now
 #: exported column arrays, so v2 entries (list-of-spans layout) cannot be
 #: loaded into the new class.
-CACHE_VERSION = 3
+#: v4: PartitionResult lost its racing-portfolio fields (shadow_optimal,
+#: solver_backend), so v3 entries pickle a different layout.
+CACHE_VERSION = 4
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
 

@@ -96,15 +96,9 @@ class PlanRequest:
         Mirrors the ``("plan_mobius", model, topology, config)`` tuple in
         :func:`repro.core.api.plan_mobius` so a daemon-side store lookup
         hits entries written by worker processes; the coupling is pinned
-        by ``tests/serve/test_daemon.py``.  Like ``plan_mobius``, the key
-        normalizes ``solver_mode`` to ``"solo"`` — portfolio solves are
-        bit-identical, so both modes coalesce onto one solve and share
-        one cache entry.
+        by ``tests/serve/test_daemon.py``.
         """
-        config = self.effective_config()
-        if config.solver_mode != "solo":
-            config = dataclasses.replace(config, solver_mode="solo")
-        return ("plan_mobius", self.model, self.topology, config)
+        return ("plan_mobius", self.model, self.topology, self.effective_config())
 
     def solve_key(self) -> str:
         """Content address of this request's solve (coalescing/cache key).
@@ -120,11 +114,8 @@ class PlanRequest:
 
         A deadline-missed request looks up the best *full-quality* plan
         ever computed for the same planning problem under this key.
-        ``solver_mode`` is normalized away like in :meth:`memo_key`.
         """
-        config = dataclasses.replace(
-            self.effective_config(), partition_max_nodes=None, solver_mode="solo"
-        )
+        config = dataclasses.replace(self.effective_config(), partition_max_nodes=None)
         return fingerprint(("serve-lkg", self.model, self.topology, config))
 
 

@@ -1,15 +1,13 @@
-"""MILP solver substrate (replaces Gurobi, which the paper uses for §3.2).
+"""MILP substrate for the paper's literal partition MIP (§3.2).
 
-Stack: algebraic model builder -> bounded-variable revised simplex (primal
-+ dual, warm-startable basis) -> best-first branch & bound with root cuts,
-primal heuristics, incremental bound propagation, and deterministic
-node/pivot budgets — with optional scipy/HiGHS backends for
-cross-validation.
+The paper solves its Eqs. 3-11 MIP with Gurobi.  Here the planner never
+does: :func:`repro.core.partition.mip_partition` searches stage boundaries
+directly.  This package holds what the *oracle* needs to check that search
+— an algebraic model builder (:mod:`repro.solver.model`) and a HiGHS
+backend via :func:`scipy.optimize.milp` (:mod:`repro.solver.scipy_backend`)
+— plus the ``repro solvebench`` harness (:mod:`repro.solver.bench`).
 """
 
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPSolution, MIPStatus
-from repro.solver.cuts import cover_cuts, gomory_cuts
-from repro.solver.heuristics import dive, round_and_repair
 from repro.solver.model import (
     Constraint,
     ConstraintSense,
@@ -18,60 +16,16 @@ from repro.solver.model import (
     StandardForm,
     Variable,
 )
-from repro.solver.portfolio import (
-    BACKEND_RANK,
-    InlineRaceExecutor,
-    RaceTask,
-    race_partition,
-    shutdown_portfolio_pool,
-)
-from repro.solver.presolve import (
-    PresolveResult,
-    postsolve,
-    presolve,
-    propagate_bounds,
-)
-from repro.solver.scipy_backend import solve_lp_scipy, solve_milp_scipy
-from repro.solver.simplex import (
-    Basis,
-    LPSolution,
-    LPStatus,
-    RevisedSimplex,
-    SimplexError,
-    solve_standard_form,
-)
-from repro.solver.warmstart import WarmStartContext
+from repro.solver.scipy_backend import MIPSolution, MIPStatus, solve_milp_scipy
 
 __all__ = [
-    "BACKEND_RANK",
-    "Basis",
-    "BranchAndBoundSolver",
     "Constraint",
     "ConstraintSense",
-    "LPSolution",
-    "LPStatus",
-    "InlineRaceExecutor",
     "LinearExpr",
     "LinearProgram",
     "MIPSolution",
     "MIPStatus",
-    "PresolveResult",
-    "RaceTask",
-    "RevisedSimplex",
-    "SimplexError",
     "StandardForm",
     "Variable",
-    "WarmStartContext",
-    "cover_cuts",
-    "dive",
-    "gomory_cuts",
-    "postsolve",
-    "presolve",
-    "propagate_bounds",
-    "race_partition",
-    "round_and_repair",
-    "shutdown_portfolio_pool",
-    "solve_lp_scipy",
     "solve_milp_scipy",
-    "solve_standard_form",
 ]

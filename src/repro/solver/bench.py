@@ -1,317 +1,135 @@
 """Solver benchmark: the ``repro solvebench`` backend.
 
-Runs the MILP stack over deterministic instances derived from the check
-corpus (:mod:`repro.check.corpus`) and emits ``BENCH_solver.json``:
+For every check-corpus cell (:mod:`repro.check.corpus`) it emits two rows
+into ``BENCH_solver.json``:
 
-* **literal partition MIPs** — each corpus cell's Eqs. 3-11 boolean MIP
-  (:func:`repro.core.mip_formulation.build_partition_mip`) solved by our
-  branch & bound and cross-validated against scipy's HiGGS MILP: statuses
-  must agree and optimal objectives match to 1e-6 (``parity``);
-* **warm-vs-cold invariance** — every MIP is re-solved warm-started from
-  its own cold solution; the returned ``x`` must be bit-identical and the
-  tree no larger;
-* **partition searches** — the production partitioner
-  (:func:`repro.core.partition.mip_partition`) per cell, cold and
-  warm-started from the previous cell's result, with node counts and the
-  boundary fingerprint;
-* **portfolio races** — each cell solved solo, per racing backend
-  (:func:`repro.solver.portfolio._solve_bnb` / ``_solve_highs``), and
-  through the real :func:`repro.solver.portfolio.race_partition` pool;
-  the row records which backend won and that every path returned the
-  solo boundaries (``parity``).
+* **partition** — the production search
+  (:func:`repro.core.partition.mip_partition`), cold and warm-started from
+  the previous cell's boundaries, with node counts, optimality and the
+  boundary tuple; ``warm_identical`` holds when the warm solve returns the
+  cold boundaries;
+* **oracle** — the literal Eqs. 3-11 MIP solved on HiGHS over every stage
+  count (:func:`repro.core.mip_formulation.solve_partition_mip`);
+  ``parity`` holds when its optimum matches the search's step time within
+  ``ORACLE_REL_TOL``.
 
-Node counts, statuses, objectives, and fingerprints are deterministic
-(budget-bound, clock-free searches); wall times — including the
-per-backend race latencies — are informational only.  The CI gate
-(:func:`compare_benchmarks`) fails on a parity regression, a portfolio
-divergence, or a >25% node-count regression against the committed
-baseline, ignoring wall time and race winners (both hardware-dependent).
+Node counts, boundaries, step times and parity are deterministic; wall
+times are informational only.  The CI gate (:func:`compare_benchmarks`)
+fails on a parity or warm-start failure, on a row present on one side
+only, or on a >25% node-count regression against the committed baseline.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.check.corpus import default_corpus
-from repro.core.mip_formulation import build_partition_mip
+from repro.core.mip_formulation import solve_partition_mip
 from repro.core.partition import mip_partition
 from repro.models.costmodel import CostModel
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPStatus
-from repro.solver.scipy_backend import solve_milp_scipy
-from repro.solver.warmstart import WarmStartContext
 
-__all__ = ["run_bench", "write_bench", "compare_benchmarks", "BENCH_SCHEMA"]
+__all__ = [
+    "BENCH_SCHEMA",
+    "ORACLE_REL_TOL",
+    "compare_benchmarks",
+    "corpus_problems",
+    "run_bench",
+    "write_bench",
+]
 
-BENCH_SCHEMA = "mobius-bench-solver/1"
+BENCH_SCHEMA = "mobius-bench-solver/2"
 
 #: Node-count regressions beyond this ratio fail the CI gate.
 NODE_REGRESSION_RATIO = 1.25
 
-#: The serial, uncached suite total committed before this solver overhaul
-#: (BENCH_suite.json at the fault-injection PR) — the perf baseline the
-#: overhaul is measured against.
-SUITE_BASELINE_SECONDS = 85.7
+#: The search's step time must match the HiGHS optimum this closely.
+ORACLE_REL_TOL = 1e-6
 
 
-@dataclasses.dataclass
-class _MIPRow:
-    name: str
-    n_vars: int
-    n_rows: int
-    status: str
-    objective: float | None
-    ref_status: str
-    ref_objective: float | None
-    parity: bool
-    nodes: int
-    pivots: int
-    cuts: int
-    warm_nodes: int
-    warm_identical: bool
-    wall_seconds: float
+def corpus_problems() -> list[tuple[str, tuple]]:
+    """``(cell name, args)`` per check-corpus cell.
 
-
-def _objectives_match(a: float | None, b: float | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6)
-
-
-def _bench_mip_instances() -> list[tuple[str, Any]]:
-    """(name, LinearProgram) pairs: one literal partition MIP per cell."""
-    instances = []
+    ``args`` is ``(model, cost_model, n_gpus, n_microbatches, bandwidth)``,
+    the positional arguments of both :func:`mip_partition` and
+    :func:`solve_partition_mip`.
+    """
+    problems = []
     for cell in default_corpus():
         topology = cell.topology
-        microbatch = (
-            cell.config.microbatch_size or cell.model.default_microbatch_size
-        )
-        cost_model = CostModel(topology.gpu_spec, microbatch)
+        microbatch = cell.config.microbatch_size or cell.model.default_microbatch_size
         n_gpus = topology.n_gpus
-        lp, _assign = build_partition_mip(
+        args = (
             cell.model,
-            cost_model,
-            n_gpus,
+            CostModel(topology.gpu_spec, microbatch),
             n_gpus,
             cell.config.n_microbatches or n_gpus,
             cell.config.bandwidth or topology.pcie_bandwidth,
-            cost_model.usable_gpu_bytes(),
         )
-        instances.append((f"{cell.name}/S{n_gpus}", lp))
-    return instances
-
-
-def _run_mip_rows() -> list[_MIPRow]:
-    rows = []
-    for name, lp in _bench_mip_instances():
-        solver = BranchAndBoundSolver(presolve=True)
-        started = time.perf_counter()
-        ours = solver.solve(lp)
-        wall = time.perf_counter() - started
-        theirs = solve_milp_scipy(lp)
-        parity = ours.status.value == theirs.status.value and (
-            ours.status is not MIPStatus.OPTIMAL
-            or _objectives_match(ours.objective, theirs.objective)
-        )
-        if ours.x is not None:
-            warm = BranchAndBoundSolver(presolve=True).solve(
-                lp, warm_start=WarmStartContext.from_mip(ours)
-            )
-            warm_nodes = warm.nodes_explored
-            warm_identical = warm.x is not None and bool(
-                np.array_equal(warm.x, ours.x)
-            )
-        else:
-            warm_nodes = 0
-            warm_identical = True
-        form = lp.to_standard_form()
-        rows.append(
-            _MIPRow(
-                name=name,
-                n_vars=len(form.c),
-                n_rows=form.a_ub.shape[0] + form.a_eq.shape[0],
-                status=ours.status.value,
-                objective=None if math.isnan(ours.objective) else ours.objective,
-                ref_status=theirs.status.value,
-                ref_objective=(
-                    None if math.isnan(theirs.objective) else theirs.objective
-                ),
-                parity=parity,
-                nodes=ours.nodes_explored,
-                pivots=ours.pivots,
-                cuts=ours.cuts_added,
-                warm_nodes=warm_nodes,
-                warm_identical=warm_identical,
-                wall_seconds=round(wall, 4),
-            )
-        )
-    return rows
+        problems.append((cell.name, args))
+    return problems
 
 
 def _run_partition_rows() -> list[dict[str, Any]]:
     rows = []
-    previous: WarmStartContext | None = None
-    for cell in default_corpus():
-        topology = cell.topology
-        microbatch = (
-            cell.config.microbatch_size or cell.model.default_microbatch_size
-        )
-        cost_model = CostModel(topology.gpu_spec, microbatch)
-        n_gpus = topology.n_gpus
-        n_microbatches = cell.config.n_microbatches or n_gpus
-        bandwidth = cell.config.bandwidth or topology.pcie_bandwidth
+    previous: tuple[int, ...] | None = None
+    for name, args in corpus_problems():
         started = time.perf_counter()
-        cold = mip_partition(
-            cell.model, cost_model, n_gpus, n_microbatches, bandwidth
-        )
+        cold = mip_partition(*args)
         wall = time.perf_counter() - started
+        boundaries = cold.partition.boundaries
         warm = mip_partition(
-            cell.model,
-            cost_model,
-            n_gpus,
-            n_microbatches,
-            bandwidth,
-            warm_start=previous if previous is not None else cold.partition,
+            *args, warm_start=previous if previous is not None else boundaries
         )
         rows.append(
             {
-                "name": cell.name,
-                "boundaries": list(cold.partition.boundaries),
+                "name": name,
+                "boundaries": list(boundaries),
                 "step_seconds": cold.timings.step_seconds,
                 "nodes": cold.nodes_explored,
                 "optimal": cold.optimal,
                 "warm_nodes": warm.nodes_explored,
-                "warm_identical": (
-                    warm.partition.boundaries == cold.partition.boundaries
+                "warm_identical": warm.partition.boundaries == boundaries,
+                "wall_seconds": round(wall, 4),
+            }
+        )
+        previous = boundaries
+    return rows
+
+
+def _run_oracle_rows() -> list[dict[str, Any]]:
+    rows = []
+    for name, args in corpus_problems():
+        search = mip_partition(*args)
+        started = time.perf_counter()
+        oracle = solve_partition_mip(*args)
+        wall = time.perf_counter() - started
+        step = search.timings.step_seconds
+        rows.append(
+            {
+                "name": name,
+                "n_stages": oracle.n_stages,
+                "stage_counts": sorted(oracle.per_stage_solutions),
+                "step_seconds": step,
+                "oracle_step_seconds": oracle.step_seconds,
+                "parity": math.isclose(
+                    step, oracle.step_seconds, rel_tol=ORACLE_REL_TOL
                 ),
                 "wall_seconds": round(wall, 4),
             }
         )
-        previous = WarmStartContext.from_partition(cold.partition)
-    return rows
-
-
-def _run_portfolio_rows() -> list[dict[str, Any]]:
-    """Race every corpus cell; winners and walls are reporting-only.
-
-    The perf-counter reads here are why this function is on the MOB002
-    clock allowlist: they time finished solves for the report, they never
-    steer a result.  Parity is the gated column — the raced plan and both
-    backends' direct solves must return the solo boundaries bit-identically.
-    """
-    from repro.experiments.runner import resolve_jobs
-    from repro.solver.portfolio import (
-        BACKEND_RANK,
-        DEFAULT_MAX_NODES,
-        RaceTask,
-        _solve_bnb,
-        _solve_highs,
-        race_partition,
-        shutdown_portfolio_pool,
-    )
-
-    jobs = resolve_jobs(ceiling=len(BACKEND_RANK))
-    rows = []
-    try:
-        for cell in default_corpus():
-            topology = cell.topology
-            microbatch = (
-                cell.config.microbatch_size or cell.model.default_microbatch_size
-            )
-            cost_model = CostModel(topology.gpu_spec, microbatch)
-            n_gpus = topology.n_gpus
-            n_microbatches = cell.config.n_microbatches or n_gpus
-            bandwidth = cell.config.bandwidth or topology.pcie_bandwidth
-            solo = mip_partition(
-                cell.model, cost_model, n_gpus, n_microbatches, bandwidth
-            )
-            task = RaceTask(
-                model=cell.model,
-                gpu_spec=topology.gpu_spec,
-                microbatch_size=microbatch,
-                recompute=cost_model.recompute,
-                precision=cost_model.precision,
-                n_gpus=n_gpus,
-                n_microbatches=n_microbatches,
-                bandwidth=bandwidth,
-                gpu_memory=cost_model.usable_gpu_bytes(),
-                time_limit=10.0,
-                max_nodes=DEFAULT_MAX_NODES,
-                warm_boundaries=None,
-            )
-            started = time.perf_counter()
-            bnb = _solve_bnb(task)
-            bnb_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            highs = _solve_highs(task)
-            highs_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            raced = race_partition(
-                cell.model, cost_model, n_gpus, n_microbatches, bandwidth,
-                jobs=jobs,
-            )
-            race_wall = time.perf_counter() - started
-            reference = solo.partition.boundaries
-            rows.append(
-                {
-                    "name": cell.name,
-                    "boundaries": list(raced.partition.boundaries),
-                    "parity": (
-                        raced.partition.boundaries == reference
-                        and bnb.partition.boundaries == reference
-                        and highs.partition.boundaries == reference
-                    ),
-                    "winner": raced.solver_backend,
-                    "raced": jobs >= 2,
-                    "highs_verified": highs.optimal,
-                    "highs_certified": highs.shadow_optimal,
-                    "bnb_wall_seconds": round(bnb_wall, 4),
-                    "highs_wall_seconds": round(highs_wall, 4),
-                    "race_wall_seconds": round(race_wall, 4),
-                }
-            )
-    finally:
-        shutdown_portfolio_pool()
     return rows
 
 
 def run_bench() -> dict[str, Any]:
     """Run the full solver benchmark; returns the JSON document."""
-    mip_rows = _run_mip_rows()
-    partition_rows = _run_partition_rows()
-    portfolio_rows = _run_portfolio_rows()
-    wins: dict[str, int] = {}
-    for row in portfolio_rows:
-        wins[row["winner"]] = wins.get(row["winner"], 0) + 1
-    suite_after = None
-    bench_suite = Path("BENCH_suite.json")
-    if bench_suite.is_file():
-        try:
-            suite_doc = json.loads(bench_suite.read_text())
-            # A three-pass (--baseline) suite document records the serial
-            # uncached total under "baseline"; single-pass documents only
-            # have the top-level total.
-            suite_after = suite_doc.get("baseline", {}).get(
-                "total_seconds", suite_doc["total_seconds"]
-            )
-        except (ValueError, KeyError):
-            suite_after = None
     return {
         "schema": BENCH_SCHEMA,
-        "suite_uncached": {
-            "before_seconds": SUITE_BASELINE_SECONDS,
-            "after_seconds": suite_after,
-        },
-        "mip": [dataclasses.asdict(row) for row in mip_rows],
-        "partition": partition_rows,
-        "portfolio": portfolio_rows,
-        "portfolio_wins": dict(sorted(wins.items())),
+        "partition": _run_partition_rows(),
+        "oracle": _run_oracle_rows(),
     }
 
 
@@ -323,33 +141,38 @@ def write_bench(path: Path | str, document: dict[str, Any] | None = None) -> dic
 
 
 def compare_benchmarks(
-    current: dict[str, Any], baseline: dict[str, Any]
+    current: dict[str, Any], baseline: dict[str, Any] | None = None
 ) -> list[str]:
-    """CI gate: regressions of ``current`` against the committed baseline.
+    """CI gate: failures of ``current``, alone and against ``baseline``.
 
     Returns a list of human-readable failures (empty = gate passes):
 
-    * an instance whose ``parity`` was true is now false (objective-parity
-      regression);
-    * an instance's ``nodes`` grew beyond ``NODE_REGRESSION_RATIO`` times
-      the baseline (node-count regression);
-    * a warm-started re-solve stopped returning the cold solution;
-    * a portfolio race returned anything but the solo B&B boundaries —
-      gated unconditionally (not merely as a regression): bit-identity is
-      the portfolio's contract, so one diverging row fails the gate even
-      on a fresh baseline;
-    * a corpus cell whose HiGHS verification exhausted but lost its
-      shadow certificate (``highs_certified``) — uncertified wins are
-      ineligible, so such a cell silently stops racing.
+    * a row whose ``parity`` is false — the search disagrees with the
+      HiGHS oracle (an invariant, failed even without a baseline);
+    * a row whose warm-started re-solve stopped returning the cold
+      boundaries (also an invariant);
+    * with a baseline: a row present on one side only — the corpus is
+      part of the contract — or a ``nodes`` count grown beyond
+      ``NODE_REGRESSION_RATIO`` times the baseline.
 
-    Instances present only on one side are reported as failures too — the
-    corpus is part of the contract.  Wall times and race winners are
-    never compared: both depend on the hardware the bench ran on.
+    Wall times are never compared: they depend on the host.
     """
     failures: list[str] = []
-    for section in ("mip", "partition"):
-        base_rows = {row["name"]: row for row in baseline.get(section, [])}
+    for section in ("partition", "oracle"):
         cur_rows = {row["name"]: row for row in current.get(section, [])}
+        for name, cur in sorted(cur_rows.items()):
+            if not cur.get("parity", True):
+                failures.append(
+                    f"{section}:{name}: search step {cur.get('step_seconds')} "
+                    f"!= oracle {cur.get('oracle_step_seconds')}"
+                )
+            if not cur.get("warm_identical", True):
+                failures.append(
+                    f"{section}:{name}: warm-started solve no longer matches cold"
+                )
+        if baseline is None:
+            continue
+        base_rows = {row["name"]: row for row in baseline.get(section, [])}
         for name in sorted(base_rows.keys() | cur_rows.keys()):
             if name not in cur_rows:
                 failures.append(f"{section}:{name}: instance missing from current run")
@@ -357,38 +180,12 @@ def compare_benchmarks(
             if name not in base_rows:
                 failures.append(f"{section}:{name}: instance missing from baseline")
                 continue
-            base, cur = base_rows[name], cur_rows[name]
-            if base.get("parity", True) and not cur.get("parity", True):
-                failures.append(
-                    f"{section}:{name}: objective parity regressed "
-                    f"(ours={cur.get('objective')} ref={cur.get('ref_objective')})"
-                )
-            if not cur.get("warm_identical", True):
-                failures.append(
-                    f"{section}:{name}: warm-started solve no longer matches cold"
-                )
-            base_nodes = base.get("nodes", 0)
-            cur_nodes = cur.get("nodes", 0)
+            base_nodes = base_rows[name].get("nodes", 0)
+            cur_nodes = cur_rows[name].get("nodes", 0)
             if base_nodes > 0 and cur_nodes > NODE_REGRESSION_RATIO * base_nodes:
                 failures.append(
                     f"{section}:{name}: node count regressed "
                     f"{base_nodes} -> {cur_nodes} "
                     f"(>{NODE_REGRESSION_RATIO:.2f}x)"
                 )
-    base_rows = {row["name"] for row in baseline.get("portfolio", [])}
-    cur_rows = {row["name"]: row for row in current.get("portfolio", [])}
-    for name in sorted(base_rows - cur_rows.keys()):
-        failures.append(f"portfolio:{name}: instance missing from current run")
-    for name, row in sorted(cur_rows.items()):
-        if not row.get("parity", True):
-            failures.append(
-                f"portfolio:{name}: raced result diverged from solo B&B "
-                f"(winner={row.get('winner')}, boundaries={row.get('boundaries')})"
-            )
-        if row.get("highs_verified", True) and not row.get("highs_certified", True):
-            failures.append(
-                f"portfolio:{name}: highs verification exhausted without the "
-                "shadow certificate (hint-dependent exhaustion: highs can "
-                "never win this cell)"
-            )
     return failures

@@ -1,10 +1,8 @@
 """Algebraic model builder for linear and mixed-integer programs.
 
 The paper solves its partitioning MIP with the commercial Gurobi optimizer;
-this subpackage replaces it with a from-scratch stack: an expression-level
-model builder (this module), a dense two-phase simplex for LP relaxations
-(:mod:`repro.solver.simplex`), best-first branch & bound
-(:mod:`repro.solver.branch_bound`), and an optional HiGHS backend via
+here the literal MIP (:mod:`repro.core.mip_formulation`) is built with this
+expression-level model builder and solved on HiGHS via
 :func:`scipy.optimize.milp` (:mod:`repro.solver.scipy_backend`).
 
 Example:
@@ -21,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections.abc import Iterable
-
 import numpy as np
 
 __all__ = [
@@ -216,10 +212,6 @@ class LinearProgram:
         self.constraints.append(constraint)
         return constraint
 
-    def add_constraints(self, constraints: Iterable[Constraint]) -> None:
-        for constraint in constraints:
-            self.add_constraint(constraint)
-
     def set_objective(self, expr: LinearExpr | Variable | float, *, minimize: bool = True) -> None:
         """Set the objective; stored internally as-is with a direction flag."""
         self.objective = LinearExpr._as_expr(expr)
@@ -229,12 +221,8 @@ class LinearProgram:
     def n_vars(self) -> int:
         return len(self.variables)
 
-    @property
-    def integer_indices(self) -> list[int]:
-        return [v.index for v in self.variables if v.integer]
-
     def to_standard_form(self) -> "StandardForm":
-        """Export as dense arrays for the solvers (minimisation form)."""
+        """Export as dense arrays for the HiGHS backend (minimisation form)."""
         n = self.n_vars
         c = np.zeros(n)
         for index, coef in self.objective.coefs.items():

@@ -1,42 +1,46 @@
-"""Optional scipy (HiGHS) backends for LPs and MILPs.
+"""HiGHS MILP backend via :func:`scipy.optimize.milp`.
 
-Used to cross-validate the from-scratch simplex and branch & bound, and as a
-faster solver for large partitioning MIPs.
+The honest stand-in for the paper's Gurobi: it solves the literal
+partition MIP (:mod:`repro.core.mip_formulation`) that certifies the
+production boundary search.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
 
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.solver.branch_bound import MIPSolution, MIPStatus
-from repro.solver.model import LinearProgram, StandardForm
-from repro.solver.simplex import LPSolution, LPStatus
+from repro.solver.model import LinearProgram
 
-__all__ = ["solve_lp_scipy", "solve_milp_scipy"]
+__all__ = ["MIPSolution", "MIPStatus", "solve_milp_scipy"]
 
 
-def solve_lp_scipy(form: StandardForm) -> LPSolution:
-    """Solve the LP relaxation of ``form`` with :func:`scipy.optimize.linprog`."""
-    bounds = list(zip(form.lb, [u if math.isfinite(u) else None for u in form.ub]))
-    result = optimize.linprog(
-        form.c,
-        A_ub=form.a_ub if form.a_ub.size else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=form.a_eq if form.a_eq.size else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if result.status == 2:
-        return LPSolution(LPStatus.INFEASIBLE)
-    if result.status == 3:
-        return LPSolution(LPStatus.UNBOUNDED)
-    if not result.success:  # pragma: no cover - solver hiccup
-        return LPSolution(LPStatus.INFEASIBLE)
-    return LPSolution(LPStatus.OPTIMAL, np.asarray(result.x), float(result.fun))
+class MIPStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    FEASIBLE = "feasible"  # stopped early with an incumbent
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    NO_SOLUTION = "no_solution"  # stopped early without an incumbent
+
+
+@dataclasses.dataclass
+class MIPSolution:
+    """Outcome of a MIP solve.
+
+    ``objective`` is in the user's original direction (max stays max).
+    """
+
+    status: MIPStatus
+    x: np.ndarray | None = None
+    objective: float = math.nan
+
+    @property
+    def ok(self) -> bool:
+        return self.status in (MIPStatus.OPTIMAL, MIPStatus.FEASIBLE)
 
 
 def solve_milp_scipy(program: LinearProgram, *, time_limit: float = 60.0) -> MIPSolution:

@@ -76,15 +76,28 @@ class TestMob004:
 
     def test_clock_allowlist_site_is_honored(self):
         report = _analyze(
-            src__repro__solver__branch_bound="""
+            src__repro__core__partition="""
             import time
 
-            class BranchAndBoundSolver:
-                def solve(self):
-                    return time.perf_counter()
+            def mip_partition():
+                return time.perf_counter()
             """,
         )
         assert "MOB004" not in _codes(report)
+
+    def test_clock_below_the_partition_search_is_flagged(self):
+        report = _analyze(
+            src__repro__core__partition="""
+            import time
+
+            def _branch_and_bound(started):
+                return time.perf_counter() - started > 1.0
+
+            def mip_partition():
+                return _branch_and_bound(0.0)
+            """,
+        )
+        assert _codes(report).count("MOB004") == 1
 
     def test_rng_draw_on_hot_path_is_flagged(self):
         report = _analyze(

@@ -209,30 +209,30 @@ class TestMob002StrictClock:
         assert "MOB002" in _codes(report)
 
     def test_allowlisted_site_passes(self):
-        # The one sanctioned clock site: MIPSolution.solve_seconds reporting.
+        # A sanctioned clock site: mip_partition's solve_seconds reporting.
         report = _lint(
             """
             import time
 
-            class BranchAndBoundSolver:
-                def solve(self, program):
-                    started = time.perf_counter()
-                    return time.perf_counter() - started
+            def mip_partition(model):
+                started = time.perf_counter()
+                return time.perf_counter() - started
             """,
-            "src/repro/solver/branch_bound.py",
+            "src/repro/core/partition.py",
         )
         assert not report.findings
 
     def test_other_method_in_allowlisted_file_flagged(self):
+        # The search itself is strict-clock: a budget check on the clock
+        # would make plans depend on machine speed.
         report = _lint(
             """
             import time
 
-            class BranchAndBoundSolver:
-                def other(self):
-                    return time.perf_counter()
+            def _branch_and_bound(ctx):
+                return time.perf_counter()
             """,
-            "src/repro/solver/branch_bound.py",
+            "src/repro/core/partition.py",
         )
         assert "MOB002" in _codes(report)
 

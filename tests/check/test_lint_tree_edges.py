@@ -83,6 +83,6 @@ class TestClockAllowlist:
 
     def test_default_allowlist_covers_repo_reporting_sites(self):
         assert (
-            "src/repro/solver/branch_bound.py::BranchAndBoundSolver.solve"
+            "src/repro/core/partition.py::mip_partition"
             in DEFAULT_CONFIG.clock_allowlist
         )

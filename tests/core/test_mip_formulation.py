@@ -26,15 +26,11 @@ def cm():
 
 class TestFormulation:
     def test_objective_matches_production_bnb(self, small_model, cm):
-        """The headline validation: literal MIP == boundary B&B optimum."""
+        """The headline validation: literal MIP == boundary search optimum."""
         gpu_memory = 4 * 10**9
-        bnb = mip_partition(
-            small_model, cm, 2, 2, BW, gpu_memory=gpu_memory, time_limit=30.0
-        )
+        bnb = mip_partition(small_model, cm, 2, 2, BW, gpu_memory=gpu_memory)
         assert bnb.optimal
-        milp = solve_partition_mip(
-            small_model, cm, 2, 2, BW, gpu_memory=gpu_memory, backend="scipy"
-        )
+        milp = solve_partition_mip(small_model, cm, 2, 2, BW, gpu_memory=gpu_memory)
         assert milp.partition is not None
         assert milp.step_seconds == pytest.approx(
             bnb.timings.step_seconds, rel=1e-3
@@ -42,9 +38,7 @@ class TestFormulation:
 
     def test_extracted_partition_evaluates_consistently(self, small_model, cm):
         gpu_memory = 4 * 10**9
-        milp = solve_partition_mip(
-            small_model, cm, 2, 2, BW, gpu_memory=gpu_memory, backend="scipy"
-        )
+        milp = solve_partition_mip(small_model, cm, 2, 2, BW, gpu_memory=gpu_memory)
         costs = cm.stage_costs_for_partition(
             small_model, list(milp.partition.boundaries)
         )
@@ -54,9 +48,7 @@ class TestFormulation:
 
     def test_memory_constraints_respected(self, small_model, cm):
         gpu_memory = 3 * 10**9
-        milp = solve_partition_mip(
-            small_model, cm, 2, 2, BW, gpu_memory=gpu_memory, backend="scipy"
-        )
+        milp = solve_partition_mip(small_model, cm, 2, 2, BW, gpu_memory=gpu_memory)
         for stage in range(milp.partition.n_stages):
             start, stop = milp.partition.stage_layers(stage)
             assert cm.stage_cost(small_model, start, stop).mem_peak(2) <= gpu_memory
@@ -70,7 +62,6 @@ class TestFormulation:
             BW,
             gpu_memory=4 * 10**9,
             stage_counts=[2, 3, 4],
-            backend="scipy",
         )
         assert set(milp.per_stage_solutions) == {2, 3, 4}
         assert min(milp.per_stage_solutions.values()) == pytest.approx(
@@ -80,27 +71,3 @@ class TestFormulation:
     def test_invalid_stage_count_rejected(self, small_model, cm):
         with pytest.raises(ValueError):
             build_partition_mip(small_model, cm, 0, 2, 2, BW, 10**9)
-
-    def test_bnb_backend_on_tiny_instance(self, cm):
-        model = build_gpt_like(
-            "t", n_blocks=3, hidden_dim=1024, n_heads=8, include_embedding=False
-        )
-        milp = solve_partition_mip(
-            model,
-            cm,
-            2,
-            2,
-            BW,
-            gpu_memory=2 * 10**9,
-            stage_counts=[3],
-            backend="bnb",
-            time_limit_per_stage=60.0,
-        )
-        reference = solve_partition_mip(
-            model, cm, 2, 2, BW, gpu_memory=2 * 10**9, stage_counts=[3], backend="scipy"
-        )
-        assert milp.step_seconds == pytest.approx(reference.step_seconds, rel=1e-3)
-
-    def test_unknown_backend_rejected(self, small_model, cm):
-        with pytest.raises(ValueError):
-            solve_partition_mip(small_model, cm, 2, 2, BW, backend="gurobi")

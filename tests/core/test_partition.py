@@ -26,17 +26,17 @@ def cm():
 
 class TestMipPartition:
     def test_finds_feasible_partition(self, model, cm):
-        result = mip_partition(model, cm, 2, 2, BW, time_limit=2.0)
+        result = mip_partition(model, cm, 2, 2, BW)
         assert result.timings.feasible
         assert result.partition.n_stages >= 1
         assert result.method == "mip"
 
     def test_small_instance_solved_to_optimality(self, model, cm):
-        result = mip_partition(model, cm, 2, 2, BW, time_limit=30.0)
+        result = mip_partition(model, cm, 2, 2, BW)
         assert result.optimal
 
     def test_beats_or_matches_baselines(self, model, cm):
-        mip = mip_partition(model, cm, 2, 2, BW, time_limit=10.0)
+        mip = mip_partition(model, cm, 2, 2, BW)
         maxs = max_stage_partition(model, cm, 2, 2, BW)
         mins = min_stage_partition(model, cm, 2, 2, BW)
         assert mip.timings.step_seconds <= maxs.timings.step_seconds + 1e-9
@@ -47,22 +47,22 @@ class TestMipPartition:
             cm.stage_cost(model, i, i + 1).mem_peak(2) for i in range(model.n_layers)
         )
         gpu_memory = int(biggest_layer * 2.5)
-        result = mip_partition(model, cm, 2, 2, BW, gpu_memory=gpu_memory, time_limit=5.0)
+        result = mip_partition(model, cm, 2, 2, BW, gpu_memory=gpu_memory)
         for stage in range(result.partition.n_stages):
             start, stop = result.partition.stage_layers(stage)
             assert cm.stage_cost(model, start, stop).mem_peak(2) <= gpu_memory
 
     def test_impossible_memory_raises(self, model, cm):
         with pytest.raises(ValueError):
-            mip_partition(model, cm, 2, 2, BW, gpu_memory=1000, time_limit=1.0)
+            mip_partition(model, cm, 2, 2, BW, gpu_memory=1000)
 
     def test_deterministic(self, model, cm):
-        a = mip_partition(model, cm, 2, 2, BW, time_limit=5.0)
-        b = mip_partition(model, cm, 2, 2, BW, time_limit=5.0)
+        a = mip_partition(model, cm, 2, 2, BW)
+        b = mip_partition(model, cm, 2, 2, BW)
         assert a.partition.boundaries == b.partition.boundaries
 
     def test_solve_time_recorded(self, model, cm):
-        result = mip_partition(model, cm, 2, 2, BW, time_limit=1.0)
+        result = mip_partition(model, cm, 2, 2, BW)
         assert 0 < result.solve_seconds < 5.0
         assert result.nodes_explored > 0
 
@@ -154,23 +154,51 @@ class TestDeterministicBudgets:
         assert first.partition.boundaries == second.partition.boundaries
         assert first.nodes_explored == second.nodes_explored == 10
 
-    def test_result_independent_of_time_limit(self, model, cm):
-        fast = mip_partition(model, cm, 2, 2, BW, time_limit=1.0)
-        slow = mip_partition(model, cm, 2, 2, BW, time_limit=60.0)
+    def test_result_independent_of_time_limit(self, model):
+        # partition_time_limit is a solve-key slot and a modeled re-plan
+        # latency; the search itself never reads it.
+        from repro.core.api import MobiusConfig, plan_mobius
+        from repro.hardware.topology import topo_2_2
+        from repro.perf.cache import cache_overridden
+
+        reports = []
+        for limit in (1e-9, 60.0):
+            with cache_overridden(memory=False, disk=False):
+                reports.append(
+                    plan_mobius(
+                        model, topo_2_2(), MobiusConfig(partition_time_limit=limit)
+                    ).partition_result
+                )
+        fast, slow = reports
+        assert fast.optimal and slow.optimal
         assert fast.partition.boundaries == slow.partition.boundaries
-        assert fast.nodes_explored == slow.nodes_explored
+
+    def test_result_independent_of_the_clock(self, model, cm, monkeypatch):
+        # Every clock read jumps 100 s: a wall-clock cutoff anywhere in the
+        # search would truncate it at once.
+        import itertools
+        import time
+
+        reference = mip_partition(model, cm, 2, 2, BW)
+        ticks = itertools.count(step=100.0)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        jumped = mip_partition(model, cm, 2, 2, BW)
+        assert jumped.partition.boundaries == reference.partition.boundaries
+        assert jumped.nodes_explored == reference.nodes_explored
+        assert jumped.optimal == reference.optimal
 
 
 class TestPartitionWarmStart:
     def test_warm_start_cannot_change_the_result(self, model, cm):
         cold = mip_partition(model, cm, 2, 2, BW)
-        warm = mip_partition(model, cm, 2, 2, BW, warm_start=cold.partition)
+        warm = mip_partition(model, cm, 2, 2, BW, warm_start=cold.partition.boundaries)
         assert warm.warm_started
         assert warm.partition.boundaries == cold.partition.boundaries
         assert warm.timings.step_seconds == cold.timings.step_seconds
         assert warm.nodes_explored <= cold.nodes_explored
 
     def test_warm_start_accepts_boundary_sequence(self, model, cm):
+        # Any int sequence works, not only a Partition's boundary tuple.
         cold = mip_partition(model, cm, 2, 2, BW)
         warm = mip_partition(
             model, cm, 2, 2, BW, warm_start=list(cold.partition.boundaries)
@@ -191,7 +219,7 @@ class TestPartitionWarmStart:
         cm = CostModel(RTX_3090TI, model.default_microbatch_size)
         full = mip_partition(model, cm, 4, 4, BW)
         cold = mip_partition(model, cm, 3, 3, BW)
-        warm = mip_partition(model, cm, 3, 3, BW, warm_start=full.partition)
+        warm = mip_partition(model, cm, 3, 3, BW, warm_start=full.partition.boundaries)
         assert warm.warm_started
         assert warm.partition.boundaries == cold.partition.boundaries
         assert warm.nodes_explored < cold.nodes_explored

@@ -1,7 +1,8 @@
 """The warm-start hint registry's synchronization seam (MOB007 fix).
 
-The seam must be invisible: hints only seed the B&B incumbent, so a plan
-computed through a populated registry is byte-identical to a cold one.
+The seam must be invisible: hints (plain boundary tuples) only seed the
+partition search's incumbent, so a plan computed through a populated
+registry is byte-identical to a cold one.
 """
 
 import threading
@@ -21,7 +22,6 @@ from repro.hardware.topology import commodity_server
 from repro.models.spec import build_gpt_like
 from repro.perf.cache import cache_overridden
 from repro.perf.fingerprint import fingerprint
-from repro.solver.warmstart import WarmStartContext
 
 
 def _small_model():
@@ -38,7 +38,7 @@ class TestSeam:
     def test_round_trip(self):
         key = ("seam-test", 6, "gpu", 1)
         assert _get_partition_hint(key) is None
-        hint = WarmStartContext(boundaries=(2, 4), label="test")
+        hint = (2, 4)
         _put_partition_hint(key, hint)
         try:
             assert _get_partition_hint(key) is hint
@@ -47,7 +47,7 @@ class TestSeam:
 
     def test_concurrent_writers_do_not_corrupt_the_registry(self):
         keys = [("seam-race", i, "gpu", 1) for i in range(32)]
-        hint = WarmStartContext(boundaries=(1,), label="race")
+        hint = (1,)
 
         def write(key):
             for _ in range(50):
@@ -70,7 +70,7 @@ class TestSeam:
 class TestBoundedLru:
     """The registry is a bounded LRU: a daemon cannot leak hints unbounded."""
 
-    HINT = WarmStartContext(boundaries=(1,), label="lru")
+    HINT = (1,)
 
     def _keys(self, n):
         return [("lru-test", i, "gpu", 1) for i in range(n)]
@@ -172,7 +172,7 @@ class _FakeHintStore:
 class TestDurableFallThrough:
     """The serve daemon's durable hint tier behind the same seam."""
 
-    HINT = WarmStartContext(boundaries=(2, 4), label="durable")
+    HINT = (2, 4)
 
     def test_install_returns_previous(self):
         store = _FakeHintStore()
@@ -234,8 +234,8 @@ class TestPlanIdentity:
         api._PARTITION_HINTS.pop(hint_key, None)
         try:
             cold = plan_mobius(model, topology, config)
-            # plan_mobius published a hint for this key through the seam.
-            assert _get_partition_hint(hint_key) is not None
+            # plan_mobius published the plain boundary tuple through the seam.
+            assert _get_partition_hint(hint_key) == cold.plan.partition.boundaries
             warm = plan_mobius(model, topology, config)
             assert fingerprint(warm.plan) == fingerprint(cold.plan)
         finally:

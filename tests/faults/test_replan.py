@@ -155,52 +155,3 @@ class TestReplanWarmStart:
             result.plan_report.plan.partition.boundaries
             == cold.plan.partition.boundaries
         ), "warm start must not change the recovery plan"
-
-
-class TestPortfolioReplan:
-    """solver_mode="portfolio" routes the re-solve through the racing
-    portfolio; the recovered plan and the charged recovery latency are
-    identical to the solo path (TTR is a budget, never a wall clock)."""
-
-    def _replan(self, solver_mode):
-        import dataclasses
-
-        from repro.perf.cache import cache_overridden
-
-        cell = default_corpus()[0]
-        config = dataclasses.replace(cell.config, solver_mode=solver_mode)
-        with cache_overridden():
-            old = plan_mobius(cell.model, cell.topology, config)
-            return cell, replan_after_dropout(
-                cell.model,
-                cell.topology,
-                config,
-                cell.topology.n_gpus - 1,
-                old_plan_report=old,
-            )
-
-    def test_portfolio_replan_is_bit_identical_to_solo(self):
-        from repro.perf.fingerprint import fingerprint
-
-        _, solo = self._replan("solo")
-        _, raced = self._replan("portfolio")
-        assert (
-            raced.plan_report.partition_result.partition.boundaries
-            == solo.plan_report.partition_result.partition.boundaries
-        )
-        assert fingerprint(raced.plan_report.plan) == fingerprint(
-            solo.plan_report.plan
-        )
-        assert solo.solver_backend == "bnb"
-        assert raced.solver_backend in ("bnb", "highs")
-
-    def test_ttr_charges_the_search_budget_not_wall_clock(self):
-        cell, raced = self._replan("portfolio")
-        # The charged planner latency is the deterministic MIP budget —
-        # a faster realized portfolio solve must not change the modeled
-        # recovery time (MOB002: no wall clock in results).
-        assert raced.replan_seconds == cell.config.partition_time_limit
-        assert raced.time_to_recover == (
-            raced.replan_seconds + raced.migration_seconds
-        )
-        assert raced.solver_nodes > 0

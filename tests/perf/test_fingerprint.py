@@ -67,10 +67,9 @@ class TestSensitivity:
             "prefetch": False,
             "use_priorities": False,
             "bandwidth": 9.9e9,
-            # The structural hash sees solver_mode like any field; cache
-            # keys normalize it to "solo" *before* fingerprinting
-            # (plan_mobius, PlanRequest.memo_key), not in here.
-            "solver_mode": "portfolio",
+            # The structural hash sees solver_mode like any field, even
+            # though planning accepts only "solo".
+            "solver_mode": "other",
         }
         assert set(changed) == {f.name for f in dataclasses.fields(base)}
         for field, value in changed.items():

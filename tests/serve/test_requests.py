@@ -75,21 +75,13 @@ class TestMemoKeyPin:
 
 
 class TestSolverModeNormalization:
-    """solver_mode is an execution strategy, not plan content: all keys
-    and cache entries are shared between solo and portfolio requests."""
+    """solver_mode is no longer normalized away: "solo" is the only mode,
+    and planning rejects any other value instead of racing it."""
 
-    def test_memo_key_ignores_solver_mode(self, tiny_model, topo22):
-        solo = _request(tiny_model, topo22)
-        portfolio = _request(
-            tiny_model,
-            topo22,
-        )
-        portfolio = dataclasses.replace(
-            portfolio,
-            config=dataclasses.replace(portfolio.config, solver_mode="portfolio"),
-        )
-        assert solo.memo_key() == portfolio.memo_key()
-        assert solo.quality_key() == portfolio.quality_key()
+    def test_portfolio_mode_is_rejected(self, tiny_model, topo22):
+        config = MobiusConfig(partition_time_limit=1.0, solver_mode="portfolio")
+        with cache_overridden(), pytest.raises(ValueError, match="solver_mode"):
+            plan_mobius(tiny_model, topo22, config)
 
     def test_solve_key_still_separates_real_config_changes(
         self, tiny_model, topo22
@@ -99,15 +91,3 @@ class TestSolverModeNormalization:
             solo, config=dataclasses.replace(solo.config, n_microbatches=8)
         )
         assert solo.memo_key() != other.memo_key()
-
-    def test_portfolio_request_hits_the_solo_cache_entry(
-        self, tiny_model, topo22
-    ):
-        solo_config = MobiusConfig(partition_time_limit=1.0)
-        portfolio_config = dataclasses.replace(
-            solo_config, solver_mode="portfolio"
-        )
-        with cache_overridden():
-            report = plan_mobius(tiny_model, topo22, solo_config)
-            again = plan_mobius(tiny_model, topo22, portfolio_config)
-        assert again is report  # cache hit: no second solve, no divergence

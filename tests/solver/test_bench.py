@@ -11,44 +11,29 @@ from repro.solver.bench import BENCH_SCHEMA, compare_benchmarks, write_bench
 def _doc(**overrides):
     base = {
         "schema": BENCH_SCHEMA,
-        "suite_uncached": {"before_seconds": 85.7, "after_seconds": 35.2},
-        "mip": [
-            {
-                "name": "a/S4",
-                "status": "optimal",
-                "parity": True,
-                "warm_identical": True,
-                "nodes": 100,
-                "pivots": 500,
-                "warm_nodes": 100,
-                "wall_seconds": 1.0,
-            }
-        ],
         "partition": [
             {
                 "name": "a",
-                "parity": True,
+                "boundaries": [2],
+                "step_seconds": 0.5,
+                "nodes": 100,
+                "optimal": True,
+                "warm_nodes": 100,
                 "warm_identical": True,
-                "nodes": 50,
-                "warm_nodes": 50,
                 "wall_seconds": 0.1,
             }
         ],
-        "portfolio": [
+        "oracle": [
             {
                 "name": "a",
-                "boundaries": [2],
+                "n_stages": 2,
+                "stage_counts": [2, 3],
+                "step_seconds": 0.5,
+                "oracle_step_seconds": 0.5,
                 "parity": True,
-                "winner": "bnb",
-                "raced": True,
-                "highs_verified": True,
-                "highs_certified": True,
-                "bnb_wall_seconds": 0.1,
-                "highs_wall_seconds": 0.2,
-                "race_wall_seconds": 0.1,
+                "wall_seconds": 1.0,
             }
         ],
-        "portfolio_wins": {"bnb": 1},
     }
     base.update(overrides)
     return base
@@ -60,27 +45,35 @@ class TestCompareBenchmarks:
 
     def test_wall_time_is_ignored(self):
         slow = _doc()
-        slow["mip"][0]["wall_seconds"] = 999.0
+        slow["partition"][0]["wall_seconds"] = 999.0
+        slow["oracle"][0]["wall_seconds"] = 999.0
         assert compare_benchmarks(slow, _doc()) == []
 
     def test_parity_regression_fails(self):
         bad = _doc()
-        bad["mip"][0]["parity"] = False
+        bad["oracle"][0]["parity"] = False
+        bad["oracle"][0]["oracle_step_seconds"] = 0.4
         failures = compare_benchmarks(bad, _doc())
-        assert any("parity" in f for f in failures)
+        assert any("!= oracle 0.4" in f for f in failures)
+
+    def test_parity_failure_fails_even_without_baseline(self):
+        # Parity is an invariant, not a baseline comparison.
+        bad = _doc()
+        bad["oracle"][0]["parity"] = False
+        assert any("oracle:a" in f for f in compare_benchmarks(bad))
 
     def test_node_regression_fails_beyond_25_percent(self):
         worse = _doc()
-        worse["mip"][0]["nodes"] = 126  # > 1.25 * 100
+        worse["partition"][0]["nodes"] = 126  # > 1.25 * 100
         failures = compare_benchmarks(worse, _doc())
         assert any("node count" in f for f in failures)
         borderline = _doc()
-        borderline["mip"][0]["nodes"] = 125  # exactly 1.25x: allowed
+        borderline["partition"][0]["nodes"] = 125  # exactly 1.25x: allowed
         assert compare_benchmarks(borderline, _doc()) == []
 
     def test_node_improvement_passes(self):
         better = _doc()
-        better["mip"][0]["nodes"] = 10
+        better["partition"][0]["nodes"] = 10
         assert compare_benchmarks(better, _doc()) == []
 
     def test_warm_divergence_fails(self):
@@ -90,60 +83,15 @@ class TestCompareBenchmarks:
         assert any("warm" in f for f in failures)
 
     def test_missing_instance_fails_both_ways(self):
-        shrunk = _doc(mip=[])
+        shrunk = _doc(oracle=[])
         assert any(
-            "missing from current" in f for f in compare_benchmarks(shrunk, _doc())
+            "oracle:a: instance missing from current" in f
+            for f in compare_benchmarks(shrunk, _doc())
         )
         assert any(
-            "missing from baseline" in f for f in compare_benchmarks(_doc(), shrunk)
+            "oracle:a: instance missing from baseline" in f
+            for f in compare_benchmarks(_doc(), shrunk)
         )
-
-    def test_portfolio_divergence_fails(self):
-        bad = _doc()
-        bad["portfolio"] = [dict(bad["portfolio"][0], parity=False, winner="highs")]
-        failures = compare_benchmarks(bad, _doc())
-        assert any("diverged from solo B&B" in f for f in failures)
-
-    def test_portfolio_divergence_fails_even_without_baseline_row(self):
-        # Parity is an invariant, not a baseline comparison: a diverging
-        # race fails the gate even when the baseline predates portfolios.
-        baseline = _doc()
-        del baseline["portfolio"], baseline["portfolio_wins"]
-        bad = _doc()
-        bad["portfolio"][0]["parity"] = False
-        assert any(
-            "diverged from solo B&B" in f
-            for f in compare_benchmarks(bad, baseline)
-        )
-
-    def test_portfolio_decertification_fails(self):
-        # A cell whose highs verification exhausts but loses the shadow
-        # certificate silently stops racing: the gate must say so.
-        bad = _doc()
-        bad["portfolio"][0]["highs_certified"] = False
-        failures = compare_benchmarks(bad, _doc())
-        assert any("shadow certificate" in f for f in failures)
-        # Truncated verification (unverified) is hardware-budget-dependent
-        # and is not gated.
-        truncated = _doc()
-        truncated["portfolio"][0]["highs_verified"] = False
-        truncated["portfolio"][0]["highs_certified"] = False
-        assert compare_benchmarks(truncated, _doc()) == []
-
-    def test_portfolio_row_missing_from_current_fails(self):
-        shrunk = _doc(portfolio=[], portfolio_wins={})
-        failures = compare_benchmarks(shrunk, _doc())
-        assert any("portfolio:a: instance missing from current" in f
-                   for f in failures)
-
-    def test_portfolio_winner_and_walls_are_not_gated(self):
-        # Which backend wins is hardware-dependent; only parity is gated.
-        current = _doc()
-        current["portfolio"] = [dict(
-            current["portfolio"][0], winner="highs", race_wall_seconds=99.0,
-        )]
-        current["portfolio_wins"] = {"highs": 1}
-        assert compare_benchmarks(current, _doc()) == []
 
 
 class TestSolvebenchCli:
@@ -157,7 +105,7 @@ class TestSolvebenchCli:
     def test_smoke_text_output(self, fake_bench, capsys):
         assert main(["solvebench"]) == 0
         out = capsys.readouterr().out
-        assert "a/S4" in out and "[ok]" in out
+        assert "partition a" in out and "oracle    a" in out and "[ok]" in out
 
     def test_json_to_file_and_gate(self, fake_bench, tmp_path, capsys):
         out_path = tmp_path / "BENCH_solver.json"
@@ -171,7 +119,7 @@ class TestSolvebenchCli:
 
     def test_gate_fails_on_regression(self, fake_bench, tmp_path, capsys):
         baseline = _doc()
-        baseline["mip"][0]["nodes"] = 10  # current (100) is a 10x regression
+        baseline["partition"][0]["nodes"] = 10  # current (100) is a 10x regression
         path = tmp_path / "baseline.json"
         write_bench(path, baseline)
         assert main(["solvebench", "--check-against", str(path)]) == 1
@@ -183,20 +131,9 @@ class TestSolvebenchCli:
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         committed = json.loads((repo_root / "BENCH_solver.json").read_text())
         assert committed["schema"] == BENCH_SCHEMA
-        assert committed["suite_uncached"]["before_seconds"] == 85.7
-        assert committed["suite_uncached"]["after_seconds"] is not None
-        assert (
-            committed["suite_uncached"]["after_seconds"]
-            <= committed["suite_uncached"]["before_seconds"] / 2
-        ), "the suite speedup gate of this PR: >= 2x uncached"
-        for row in committed["mip"]:
-            assert row["parity"] and row["warm_identical"]
-        for row in committed["partition"]:
-            assert row["warm_identical"]
-        assert committed["portfolio"], "baseline must carry portfolio rows"
-        for row in committed["portfolio"]:
-            assert row["parity"], "committed portfolio rows must be bit-identical"
-            assert row["winner"] in ("bnb", "highs")
-        assert sum(committed["portfolio_wins"].values()) == len(
-            committed["portfolio"]
-        )
+        assert compare_benchmarks(committed, committed) == []
+        partition = {row["name"]: row for row in committed["partition"]}
+        oracle = {row["name"]: row for row in committed["oracle"]}
+        assert partition and partition.keys() == oracle.keys()
+        for name, row in oracle.items():
+            assert row["step_seconds"] == partition[name]["step_seconds"]

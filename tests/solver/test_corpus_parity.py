@@ -1,51 +1,38 @@
-"""Objective parity: pure-Python branch & bound vs scipy HiGHS over the
-literal partition MIPs of every check-corpus cell (satellite of the solver
-overhaul — the two stacks must agree on every feasible cell, and on status
-for infeasible instances)."""
+"""Oracle parity: the boundary search vs the literal Eqs. 3-11 MIP on HiGHS
+over every check-corpus cell.  The search must prove optimality and match
+the HiGHS optimum (every stage count) to ``ORACLE_REL_TOL``; an infeasible
+instance must be infeasible for both."""
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.models.costmodel import CostModel
-from repro.solver.bench import _bench_mip_instances
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPStatus
-from repro.solver.scipy_backend import solve_milp_scipy
+from repro.core.mip_formulation import solve_partition_mip
+from repro.core.partition import PlanInfeasibleError, mip_partition
+from repro.solver.bench import ORACLE_REL_TOL, corpus_problems
 
-_INSTANCES = _bench_mip_instances()
+_PROBLEMS = corpus_problems()
 
 
 @pytest.mark.parametrize(
-    "name,lp", _INSTANCES, ids=[name for name, _ in _INSTANCES]
+    "name,args", _PROBLEMS, ids=[name for name, _ in _PROBLEMS]
 )
-def test_objective_parity_on_feasible_cells(name, lp):
-    ours = BranchAndBoundSolver(presolve=True).solve(lp)
-    theirs = solve_milp_scipy(lp)
-    assert ours.status is MIPStatus.OPTIMAL
-    assert theirs.status is MIPStatus.OPTIMAL
-    assert ours.objective == pytest.approx(theirs.objective, rel=1e-6, abs=1e-6)
-    # Our point must satisfy the model to the same tolerance HiGHS's does.
-    form = lp.to_standard_form()
-    assert np.all(form.a_ub @ ours.x <= form.b_ub + 1e-6)
-    assert np.allclose(ours.x[form.integer], np.round(ours.x[form.integer]))
+def test_objective_parity_on_feasible_cells(name, args):
+    search = mip_partition(*args)
+    oracle = solve_partition_mip(*args)
+    assert search.optimal
+    assert oracle.partition is not None
+    assert math.isclose(
+        search.timings.step_seconds, oracle.step_seconds, rel_tol=ORACLE_REL_TOL
+    )
 
 
 def test_status_parity_on_infeasible_instance():
-    # Shrink GPU memory until no stage assignment fits: both solvers must
-    # report INFEASIBLE, not a bogus incumbent.
-    from repro.check.corpus import default_corpus
-    from repro.core.mip_formulation import build_partition_mip
-
-    cell = default_corpus()[0]
-    microbatch = cell.config.microbatch_size or cell.model.default_microbatch_size
-    cost_model = CostModel(cell.topology.gpu_spec, microbatch)
-    n = cell.topology.n_gpus
-    lp, _ = build_partition_mip(
-        cell.model, cost_model, n, n,
-        cell.config.n_microbatches or n,
-        cell.config.bandwidth or cell.topology.pcie_bandwidth,
-        int(1e6),  # 1 MB of GPU memory: nothing fits
-    )
-    ours = BranchAndBoundSolver(presolve=True).solve(lp)
-    theirs = solve_milp_scipy(lp)
-    assert ours.status is MIPStatus.INFEASIBLE
-    assert theirs.status is MIPStatus.INFEASIBLE
+    # 1 MB of GPU memory: no stage assignment fits, so the search must
+    # raise and HiGHS must find no partition — not a bogus incumbent.
+    _, args = _PROBLEMS[0]
+    with pytest.raises(PlanInfeasibleError):
+        mip_partition(*args, gpu_memory=int(1e6))
+    oracle = solve_partition_mip(*args, gpu_memory=int(1e6))
+    assert oracle.partition is None
+    assert all(math.isinf(v) for v in oracle.per_stage_solutions.values())
