@@ -563,9 +563,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 responses.append((round_index, cell.name, response))
                 if not args.json:
+                    gap = "-" if response.gap is None else f"{response.gap:.2%}"
                     print(
                         f"round {round_index} {cell.name:<18} "
                         f"{response.status:<9} source={response.source:<9} "
+                        f"gap={gap:<6} "
                         f"fp={response.plan_fingerprint[:12] if response.plan_fingerprint else '-'}"
                     )
         stats = service.stats()

@@ -4,8 +4,11 @@ The production path solves the paper's partitioning problem as a
 branch-and-bound search over contiguous stage boundaries.  Each node fixes a
 prefix of stages; its objective is evaluated with the exact pipeline-timing
 recurrence (:mod:`repro.core.timing`, Eqs. 4-11), and subtrees are pruned
-with an admissible bound (the last microbatch still has to traverse every
-remaining layer forward and the whole model backward).  This *is* a
+with an admissible bound: the last microbatch still has to traverse every
+remaining layer forward and the whole model backward, plus the pipeline fill
+of the prefix's slowest backward stage (Eqs. 10-11: that stage runs all M
+microbatches serially between the first gradient's arrival and the last
+one's departure).  This *is* a
 mixed-integer optimisation: integer decisions (stage boundaries) + linear
 timing constraints, solved exactly when the node budget allows.  The search
 reads no clock: the deterministic node budget is its only stopping rule, so
@@ -69,6 +72,12 @@ class PartitionResult:
         warm_started: Whether a caller-provided warm-start hint seeded the
             incumbent (it tightens pruning but never changes an exhausted
             search's result).
+        best_bound: Proven lower bound on the optimal step time: the
+            incumbent's own step when the search exhausted, else the
+            smallest bound over the subtrees the budget left open.
+            ``None`` for the heuristic baselines, which prove nothing.
+        gap: ``(incumbent - best_bound) / incumbent``; 0 when exhausted,
+            ``None`` for the baselines.
     """
 
     partition: Partition
@@ -78,6 +87,8 @@ class PartitionResult:
     optimal: bool
     method: str
     warm_started: bool = False
+    best_bound: float | None = None
+    gap: float | None = None
 
 
 class _SearchContext:
@@ -178,6 +189,12 @@ class _SearchContext:
         return cached
 
 
+#: Relative slack taken off every prefix bound.  Bound and exact step sum
+#: the same terms in different orders, so they can differ by a few ulps;
+#: 1e-9 dwarfs that noise yet leaves the bound's pruning power intact.
+_BOUND_MARGIN = 1e-9
+
+
 class _ForwardStack:
     """Incremental forward schedule of the DFS's current stage prefix.
 
@@ -197,6 +214,8 @@ class _ForwardStack:
         self._rows: list[list[float]] = []
         self._end_fwd: list[float] = []
         self._d_fwd: list[float] = []
+        # Running max of the prefix stages' backward seconds (the fill term).
+        self._max_bwd: list[float] = [0.0]
         # Rolling row buffers for step_time(): the backward sweep only ever
         # reads rows j and j+1, so leaves reuse two fixed buffers instead of
         # allocating an S x M matrix per leaf.
@@ -206,9 +225,16 @@ class _ForwardStack:
     def push(self, start: int, stop: int) -> float:
         """Append stage ``[start, stop)``; return the new prefix bound.
 
-        The bound is admissible: the prefix's exact forward finish on the
-        last microbatch plus the remaining layers' forward and the whole
-        model's backward, all communication-free.
+        The bound is admissible for every completion of the prefix: the
+        prefix's exact forward finish on the last microbatch, plus the
+        remaining layers' forward and the whole model's backward, plus
+        pipeline fill.  By Eqs. 10-11, microbatch 0's gradient reaches any
+        stage ``j`` only after every later stage's backward; ``j`` then runs
+        all ``M`` microbatches serially, and the last one still crosses
+        stages ``j-1 ... 0``.  So ``step >= end_fwd[last] + total_bwd +
+        (M-1) * T_j^b`` for each prefix stage ``j``; the bound takes the
+        prefix's largest ``T_j^b``, shaved by a relative margin so float
+        noise can never prune a completion that ties the incumbent.
         """
         ctx = self._ctx
         cost = ctx.stage_cost(start, stop)
@@ -264,13 +290,17 @@ class _ForwardStack:
         self._rows.append(row)
         self._end_fwd.append(end)
         self._d_fwd.append(fwd_seconds + row[m - 1] - row[0])
-        return end + ctx.fwd_suffix[stop] + ctx.total_bwd
+        max_bwd = max(self._max_bwd[-1], cost.bwd_seconds)
+        self._max_bwd.append(max_bwd)
+        bound = end + ctx.fwd_suffix[stop] + ctx.total_bwd + (m - 1) * max_bwd
+        return bound - _BOUND_MARGIN * bound
 
     def pop(self) -> None:
         self._stages.pop()
         self._rows.pop()
         self._end_fwd.pop()
         self._d_fwd.pop()
+        self._max_bwd.pop()
 
     def step_time(self) -> float:
         """Exact step time of the *complete* partition on the stack.
@@ -417,15 +447,16 @@ def _branch_and_bound(
     incumbent: list[int] | None,
     incumbent_time: float,
     max_nodes: int,
-) -> tuple[list[int] | None, int, bool]:
+) -> tuple[list[int] | None, int, float]:
     """Depth-first boundary search from the given incumbent.
 
-    Returns ``(incumbent, nodes, exhausted)``.  Reads no clock: the node
-    budget is the only stopping rule, so the result is the same on any
-    machine.
+    Returns ``(incumbent, nodes, open_bound)``, where ``open_bound`` is the
+    smallest bound over the subtrees the budget left unexplored (``inf``
+    when the search exhausted).  Reads no clock: the node budget is the
+    only stopping rule, so the result is the same on any machine.
     """
     nodes = 0
-    exhausted = True
+    open_bound = math.inf
     n_layers = ctx.model.n_layers
     stack = _ForwardStack(ctx)
 
@@ -444,9 +475,11 @@ def _branch_and_bound(
         return False
 
     def dfs(cuts: list[int], bound: float) -> None:
-        nonlocal incumbent, incumbent_time, nodes, exhausted
+        nonlocal incumbent, incumbent_time, nodes, open_bound
         if nodes >= max_nodes:
-            exhausted = False
+            # Left open: its bound covers every completion below it.
+            if bound < open_bound:
+                open_bound = bound
             return
         nodes += 1
         start = cuts[-1]
@@ -489,7 +522,7 @@ def _branch_and_bound(
                 cuts.pop()
 
     dfs([0], ctx.fwd_suffix[0] + ctx.total_bwd)
-    return incumbent, nodes, exhausted
+    return incumbent, nodes, open_bound
 
 
 def mip_partition(
@@ -525,7 +558,8 @@ def mip_partition(
 
     Returns:
         The best partition found; ``optimal`` reports whether the search
-        completed.
+        completed, and ``best_bound``/``gap`` how far a truncated
+        incumbent can be from the optimum.
 
     Raises:
         PlanInfeasibleError: If no memory-feasible partition exists.
@@ -548,7 +582,7 @@ def mip_partition(
             if timings.step_seconds < incumbent_time - 1e-12:
                 incumbent, incumbent_time = hinted, timings.step_seconds
 
-    incumbent, nodes, exhausted = _branch_and_bound(
+    incumbent, nodes, open_bound = _branch_and_bound(
         ctx, incumbent, incumbent_time, max_nodes
     )
     if incumbent is None:
@@ -556,14 +590,19 @@ def mip_partition(
             f"no memory-feasible partition of {model.name} for "
             f"G={gpu_memory / 1e9:.1f}GB, M={n_microbatches}"
         )
+    timings = ctx.evaluate(incumbent)
+    step = timings.step_seconds
+    best_bound = min(step, open_bound)
     return PartitionResult(
         partition=Partition(model, tuple(incumbent)),
-        timings=ctx.evaluate(incumbent),
+        timings=timings,
         solve_seconds=time.perf_counter() - started,
         nodes_explored=nodes,
-        optimal=exhausted,
+        optimal=open_bound == math.inf,
         method="mip",
         warm_started=warm_started,
+        best_bound=best_bound,
+        gap=(step - best_bound) / step,
     )
 
 

@@ -60,7 +60,9 @@ __all__ = [
 #: loaded into the new class.
 #: v4: PartitionResult lost its racing-portfolio fields (shadow_optimal,
 #: solver_backend), so v3 entries pickle a different layout.
-CACHE_VERSION = 4
+#: v5: PartitionResult grew best_bound/gap, and the pipeline-fill bound
+#: lets searches that v4 entries recorded as budget-bound exhaust.
+CACHE_VERSION = 5
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
 

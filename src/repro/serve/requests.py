@@ -166,3 +166,19 @@ class PlanResponse:
     def ok(self) -> bool:
         """The response carries a servable plan (healthy or degraded)."""
         return self.report is not None and self.status in ("ok", "degraded")
+
+    @property
+    def best_bound(self) -> float | None:
+        """Proven lower bound (modeled seconds) on the optimal step time.
+
+        From the served plan's partition search; ``None`` when no plan was
+        produced or it came from the max-stage heuristic, which proves
+        nothing.
+        """
+        return None if self.report is None else self.report.partition_result.best_bound
+
+    @property
+    def gap(self) -> float | None:
+        """``(step - best_bound) / step`` of the served plan; 0 when its
+        search exhausted, ``None`` wherever :attr:`best_bound` is."""
+        return None if self.report is None else self.report.partition_result.gap

@@ -13,10 +13,15 @@ into ``BENCH_solver.json``:
   ``parity`` holds when its optimum matches the search's step time within
   ``ORACLE_REL_TOL``.
 
+The six paper-scale cells (8B/15B/51B on Topo 1+3 and 2+2) get partition
+rows only: they are too large for the dense MILP, so their evidence is the
+search's own ``optimal`` flag.
+
 Node counts, boundaries, step times and parity are deterministic; wall
 times are informational only.  The CI gate (:func:`compare_benchmarks`)
 fails on a parity or warm-start failure, on a row present on one side
-only, or on a >25% node-count regression against the committed baseline.
+only, on a search that proved optimality in the baseline and no longer
+does, or on a >25% node-count regression against the committed baseline.
 """
 
 from __future__ import annotations
@@ -28,15 +33,20 @@ from pathlib import Path
 from typing import Any
 
 from repro.check.corpus import default_corpus
+from repro.core.api import MobiusConfig
 from repro.core.mip_formulation import solve_partition_mip
 from repro.core.partition import mip_partition
+from repro.hardware.topology import Topology, topo_1_3, topo_2_2
 from repro.models.costmodel import CostModel
+from repro.models.spec import ModelSpec
+from repro.models.zoo import gpt_8b, gpt_15b, gpt_51b
 
 __all__ = [
     "BENCH_SCHEMA",
     "ORACLE_REL_TOL",
     "compare_benchmarks",
     "corpus_problems",
+    "paper_problems",
     "run_bench",
     "write_bench",
 ]
@@ -50,6 +60,19 @@ NODE_REGRESSION_RATIO = 1.25
 ORACLE_REL_TOL = 1e-6
 
 
+def _problem_args(model: ModelSpec, topology: Topology, config: MobiusConfig) -> tuple:
+    """``plan_mobius``'s partition arguments for one cell."""
+    microbatch = config.microbatch_size or model.default_microbatch_size
+    n_gpus = topology.n_gpus
+    return (
+        model,
+        CostModel(topology.gpu_spec, microbatch),
+        n_gpus,
+        config.n_microbatches or n_gpus,
+        config.bandwidth or topology.pcie_bandwidth,
+    )
+
+
 def corpus_problems() -> list[tuple[str, tuple]]:
     """``(cell name, args)`` per check-corpus cell.
 
@@ -57,26 +80,36 @@ def corpus_problems() -> list[tuple[str, tuple]]:
     the positional arguments of both :func:`mip_partition` and
     :func:`solve_partition_mip`.
     """
+    return [
+        (cell.name, _problem_args(cell.model, cell.topology, cell.config))
+        for cell in default_corpus()
+    ]
+
+
+def paper_problems() -> list[tuple[str, tuple]]:
+    """``(cell name, args)`` for 8B/15B/51B on Topo 1+3 and 2+2 (Fig 9/12).
+
+    Same argument layout as :func:`corpus_problems`, with the default
+    :class:`~repro.core.api.MobiusConfig` (Table 3 microbatch, ``M = N``,
+    PCIe bandwidth).
+    """
     problems = []
-    for cell in default_corpus():
-        topology = cell.topology
-        microbatch = cell.config.microbatch_size or cell.model.default_microbatch_size
-        n_gpus = topology.n_gpus
-        args = (
-            cell.model,
-            CostModel(topology.gpu_spec, microbatch),
-            n_gpus,
-            cell.config.n_microbatches or n_gpus,
-            cell.config.bandwidth or topology.pcie_bandwidth,
-        )
-        problems.append((cell.name, args))
+    for model_factory in (gpt_8b, gpt_15b, gpt_51b):
+        model = model_factory()
+        for topology_factory in (topo_1_3, topo_2_2):
+            problems.append(
+                (
+                    f"{model.name}/{topology_factory.__name__}",
+                    _problem_args(model, topology_factory(), MobiusConfig()),
+                )
+            )
     return problems
 
 
 def _run_partition_rows() -> list[dict[str, Any]]:
     rows = []
     previous: tuple[int, ...] | None = None
-    for name, args in corpus_problems():
+    for name, args in corpus_problems() + paper_problems():
         started = time.perf_counter()
         cold = mip_partition(*args)
         wall = time.perf_counter() - started
@@ -152,7 +185,8 @@ def compare_benchmarks(
     * a row whose warm-started re-solve stopped returning the cold
       boundaries (also an invariant);
     * with a baseline: a row present on one side only — the corpus is
-      part of the contract — or a ``nodes`` count grown beyond
+      part of the contract — a search whose ``optimal`` flipped from true
+      to false, or a ``nodes`` count grown beyond
       ``NODE_REGRESSION_RATIO`` times the baseline.
 
     Wall times are never compared: they depend on the host.
@@ -180,6 +214,10 @@ def compare_benchmarks(
             if name not in base_rows:
                 failures.append(f"{section}:{name}: instance missing from baseline")
                 continue
+            if base_rows[name].get("optimal") and not cur_rows[name].get("optimal"):
+                failures.append(
+                    f"{section}:{name}: search no longer proves optimality"
+                )
             base_nodes = base_rows[name].get("nodes", 0)
             cur_nodes = cur_rows[name].get("nodes", 0)
             if base_nodes > 0 and cur_nodes > NODE_REGRESSION_RATIO * base_nodes:

@@ -1,8 +1,13 @@
 """Tests for the MIP partition algorithm and the §4.3 baselines."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.core.partition import (
+    _ForwardStack,
+    _SearchContext,
     max_stage_partition,
     min_stage_partition,
     mip_partition,
@@ -10,6 +15,10 @@ from repro.core.partition import (
 from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel
 from repro.models.spec import LayerKind, build_gpt_like
+from repro.solver.bench import corpus_problems, paper_problems
+
+#: Partition arguments of the paper-scale cells, by solvebench row name.
+_PAPER = dict(paper_problems())
 
 BW = 13.1e9
 
@@ -223,3 +232,91 @@ class TestPartitionWarmStart:
         assert warm.warm_started
         assert warm.partition.boundaries == cold.partition.boundaries
         assert warm.nodes_explored < cold.nodes_explored
+
+
+def _feasible_completions(ctx):
+    """Every memory-feasible boundary tuple with its exact step time."""
+    n_layers = ctx.model.n_layers
+    for n_cuts in range(n_layers):
+        for boundaries in itertools.combinations(range(1, n_layers), n_cuts):
+            timings = ctx.evaluate(boundaries)
+            if timings.feasible:
+                yield boundaries, timings.step_seconds
+
+
+class TestPipelineFillBound:
+    def test_bound_never_exceeds_a_completion(self):
+        # Every prefix bound push() returns must lie below the exact
+        # Eq. 4-11 step of each completion through that prefix, else the
+        # search could prune the optimum.  Exhaustive over the corpus.
+        pairs = 0
+        for name, args in corpus_problems():
+            model, cost_model = args[0], args[1]
+            ctx = _SearchContext(*args, cost_model.usable_gpu_bytes())
+            for boundaries, step in _feasible_completions(ctx):
+                stack = _ForwardStack(ctx)
+                cuts = (0, *boundaries, model.n_layers)
+                for start, stop in zip(cuts, cuts[1:]):
+                    bound = stack.push(start, stop)
+                    assert bound <= step, (name, boundaries, stop, bound, step)
+                    pairs += 1
+        assert pairs > 5000
+
+    def test_tied_optima_resolve_canonically(self, cm):
+        # Identical blocks on one GPU: several boundary tuples tie at the
+        # optimum.  The search returns the lexicographically smallest one,
+        # whichever tie (if any) seeds it.
+        base = build_gpt_like("tied", n_blocks=1, hidden_dim=1024, n_heads=8)
+        block = next(
+            layer for layer in base.layers if layer.kind == LayerKind.TRANSFORMER_BLOCK
+        )
+        model = dataclasses.replace(base, layers=(block,) * 6)
+        ctx = _SearchContext(model, cm, 1, 2, BW, cm.usable_gpu_bytes())
+        steps = dict(_feasible_completions(ctx))
+        best = min(steps.values())
+        ties = sorted(b for b, step in steps.items() if step < best + 1e-12)
+        assert len(ties) > 1
+        cold = mip_partition(model, cm, 1, 2, BW)
+        assert cold.optimal
+        assert cold.partition.boundaries == ties[0]
+        for hint in ties:
+            warm = mip_partition(model, cm, 1, 2, BW, warm_start=hint)
+            assert warm.partition.boundaries == ties[0]
+            assert warm.timings.step_seconds == cold.timings.step_seconds
+
+    def test_truncated_search_reports_an_admissible_gap(self):
+        args = _PAPER["GPT-8B/topo_1_3"]
+        exhausted = mip_partition(*args)
+        truncated = mip_partition(*args, max_nodes=50)
+        assert exhausted.gap == 0.0
+        assert exhausted.best_bound == exhausted.timings.step_seconds
+        assert not truncated.optimal
+        assert 0.0 < truncated.gap < 1.0
+        assert truncated.best_bound <= exhausted.timings.step_seconds
+        step = truncated.timings.step_seconds
+        assert truncated.gap == pytest.approx((step - truncated.best_bound) / step)
+
+    def test_baselines_report_no_bound(self, model, cm):
+        for partitioner in (max_stage_partition, min_stage_partition):
+            result = partitioner(model, cm, 2, 2, BW)
+            assert result.best_bound is None and result.gap is None
+
+
+class TestPaperScaleOptimality:
+    """The paper-scale Topo 1+3 cells exhaust within the default budget."""
+
+    @pytest.mark.parametrize(
+        ("name", "boundaries", "step_seconds"),
+        [
+            ("GPT-8B", (*range(1, 41), 42), 5.229436422444517),
+            ("GPT-15B", tuple(range(1, 42)), 4.0653522626117065),
+            ("GPT-51B", tuple(range(1, 52)), 15.867654259063197),
+        ],
+    )
+    def test_proven_optimal(self, name, boundaries, step_seconds):
+        result = mip_partition(*_PAPER[f"{name}/topo_1_3"])
+        assert result.optimal
+        assert result.nodes_explored < 20_000
+        assert result.gap == 0.0
+        assert result.partition.boundaries == boundaries
+        assert result.timings.step_seconds == pytest.approx(step_seconds, rel=1e-12)

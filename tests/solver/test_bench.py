@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.solver.bench import BENCH_SCHEMA, compare_benchmarks, write_bench
+from repro.solver.bench import (
+    BENCH_SCHEMA,
+    compare_benchmarks,
+    paper_problems,
+    write_bench,
+)
 
 
 def _doc(**overrides):
@@ -76,6 +81,14 @@ class TestCompareBenchmarks:
         better["partition"][0]["nodes"] = 10
         assert compare_benchmarks(better, _doc()) == []
 
+    def test_lost_optimality_fails(self):
+        budget_bound = _doc()
+        budget_bound["partition"][0]["optimal"] = False
+        failures = compare_benchmarks(budget_bound, _doc())
+        assert any("no longer proves optimality" in f for f in failures)
+        # Gaining optimality is an improvement, not a failure.
+        assert compare_benchmarks(_doc(), budget_bound) == []
+
     def test_warm_divergence_fails(self):
         bad = _doc()
         bad["partition"][0]["warm_identical"] = False
@@ -134,6 +147,10 @@ class TestSolvebenchCli:
         assert compare_benchmarks(committed, committed) == []
         partition = {row["name"]: row for row in committed["partition"]}
         oracle = {row["name"]: row for row in committed["oracle"]}
-        assert partition and partition.keys() == oracle.keys()
+        # Paper-scale cells are too large for the dense HiGHS MILP: they
+        # get partition rows only, and must be proven optimal.
+        paper = {name for name, _ in paper_problems()}
+        assert oracle and partition.keys() == oracle.keys() | paper
+        assert all(partition[name]["optimal"] for name in paper)
         for name, row in oracle.items():
             assert row["step_seconds"] == partition[name]["step_seconds"]
