@@ -25,7 +25,7 @@ Subcommands:
   the committed ``BENCH_sim.json`` (any fingerprint divergence fails);
 * ``serve``    — run the planning daemon (:mod:`repro.serve`) over a
   scripted corpus session: admission control, request coalescing,
-  supervised workers and a durable sqlite warm-start/result store;
+  supervised workers and a durable sqlite result store;
 * ``servebench`` — benchmark the daemon: plans/sec cold vs warm vs
   coalesced plus the serve chaos scenarios (worker kill, poison
   quarantine, deadline straggler, store corruption, overload burst);

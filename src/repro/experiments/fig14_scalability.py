@@ -42,7 +42,7 @@ def _cell(groups: list[int]) -> ExperimentCell:
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
-    """The GPU-count sweep: N and N+1 share a warm-start hint chain."""
+    """The GPU-count sweep, one cell per server size."""
     return tuple(_cell(groups) for _, groups in _sweep(fast))
 
 

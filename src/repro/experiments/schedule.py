@@ -17,26 +17,20 @@ inverts the structure:
 3. **Order** — cells whose plans collapse onto one MIP solve (same
    :func:`~repro.core.api.partition_solve_key`) wait for the first such
    cell, so the solve happens once and the rest hit the ``"partition"``
-   cache; sweep cells sharing a :func:`~repro.core.api.partition_hint_key`
-   are chained by stage rank (GPU count), so the N-GPU solve completes —
-   and publishes its warm-start hint — before the (N+1)-GPU solve starts.
+   cache.
 4. **Drain** — one global :class:`~concurrent.futures.ProcessPoolExecutor`
-   runs ready cells as dependencies resolve.  Workers share the disk cache
-   tier, a :class:`~repro.serve.store.DurableStore`-backed partition-hint
-   store (so warm starts cross process boundaries), and a
-   :class:`~repro.perf.cache.LeaseTable` (so two *processes* — a second
-   concurrent suite, a daemon — never solve the same cell concurrently:
-   the loser waits and reads the winner's result).
+   runs ready cells as dependencies resolve; each cell is one
+   :func:`~repro.experiments.runner.run_cell` call.  Workers share the disk
+   cache tier, so a cell another process already persisted is a hit.
 
 Figures then run serially afterwards as pure cache-hit assembly passes.
 
-Determinism: completion order, lease waits and warm-start hits affect only
-*when* work happens, never *what* any cell returns — results are
-content-addressed and warm starts are bit-identical by the solver's
-canonical tie-breaks.  :func:`cell_result_fingerprint` pins exactly the
-deterministic face of a result (status, simulated step time, trace digest,
-execution plan), excluding wall-clock metadata like ``solve_seconds`` and
-hint-dependent metadata like ``nodes_explored``.
+Determinism: completion order affects only *when* work happens, never
+*what* any cell returns — every partition solve depends only on its own
+inputs, and results are content-addressed.  :func:`cell_result_fingerprint`
+pins exactly the deterministic face of a result (status, simulated step
+time, trace digest, execution plan), excluding wall-clock metadata like
+``solve_seconds``.
 """
 
 from __future__ import annotations
@@ -48,18 +42,10 @@ import multiprocessing
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from pathlib import Path
 
-from repro.core.api import MobiusConfig, partition_hint_key, partition_solve_key
+from repro.core.api import MobiusConfig, partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
-from repro.perf.cache import (
-    CACHE_VERSION,
-    CacheConfig,
-    LeaseTable,
-    configure_cache,
-    get_cache,
-    merge_stats,
-)
+from repro.perf.cache import CacheConfig, configure_cache, get_cache, merge_stats
 from repro.perf.fingerprint import fingerprint
 
 __all__ = [
@@ -72,11 +58,6 @@ __all__ = [
     "figure_cells",
     "run_cells",
 ]
-
-#: Subdirectory of the versioned cache directory holding lease files.
-LEASE_DIRNAME = "leases"
-#: Durable warm-start hint store shared by every drain process.
-HINT_DB_FILENAME = "hints.sqlite"
 
 
 def figure_cells(name: str, *, fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -116,20 +97,19 @@ class CellNode:
     dependents: list[int] = dataclasses.field(default_factory=list)
 
 
-def _plan_signature(cell: ExperimentCell) -> tuple[tuple, str, int] | None:
-    """``(hint_key, solve_digest, stage_rank)`` for MIP-planned mobius cells.
+def _plan_signature(cell: ExperimentCell) -> str | None:
+    """The partition solve digest of a MIP-planned mobius cell.
 
-    ``None`` for baseline-system cells and non-MIP ablations: they take no
-    warm-start hints and share no partition solves, so they carry no
-    ordering constraints.
+    ``None`` for baseline-system cells and non-MIP ablations: they share
+    no partition solves, so they carry no ordering constraints.
     """
     if cell.system != "mobius":
         return None
     config = cell.mobius_config
     if config is None:
         mbs = cell.microbatch_size or cell.model.default_microbatch_size
-        # Mirrors run_system's default-config construction so the keys
-        # below match what the cell will actually solve.
+        # Mirrors run_system's default-config construction so the key
+        # below matches what the cell will actually solve.
         config = MobiusConfig(
             microbatch_size=mbs,
             n_microbatches=cell.n_microbatches,
@@ -137,21 +117,16 @@ def _plan_signature(cell: ExperimentCell) -> tuple[tuple, str, int] | None:
         )
     if config.partition_method != "mip":
         return None
-    hint_key = partition_hint_key(cell.model, cell.topology, config)
-    if hint_key is None:  # pragma: no cover - mip always has a hint key
-        return None
-    solve_digest = fingerprint(partition_solve_key(cell.model, cell.topology, config))
-    return hint_key, solve_digest, cell.topology.n_gpus
+    return fingerprint(partition_solve_key(cell.model, cell.topology, config))
 
 
 @dataclasses.dataclass
 class Schedule:
-    """The deduplicated, warm-start-ordered cell graph."""
+    """The deduplicated, solve-share-ordered cell graph."""
 
     nodes: list[CellNode]
     cells_enumerated: int
     ordering_edges: int
-    warm_chains: int
 
     @property
     def cells_unique(self) -> int:
@@ -163,7 +138,7 @@ class Schedule:
 
 
 def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
-    """Dedup cells by memo digest and add solve-share + warm-start edges."""
+    """Dedup cells by memo digest and add solve-share edges."""
     nodes: list[CellNode] = []
     by_digest: dict[str, CellNode] = {}
     for figure, cell in pairs:
@@ -186,31 +161,10 @@ def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
     # the first enumerated cell computes it, the rest wait and hit the
     # "partition" cache (zero duplicate solves by construction).
     solve_groups: dict[str, CellNode] = {}
-    # Sweep cells feeding each other warm-start hints, keyed by hint key,
-    # then bucketed by stage rank (GPU count).
-    hint_groups: dict[tuple, dict[int, list[CellNode]]] = {}
     for node in nodes:
-        signature = _plan_signature(node.cell)
-        if signature is None:
-            continue
-        hint_key, solve_digest, rank = signature
-        leader = solve_groups.setdefault(solve_digest, node)
-        add_edge(leader, node)
-        hint_groups.setdefault(hint_key, {}).setdefault(rank, []).append(node)
-
-    # Order stage-count N before N+1 within each hint chain: every cell of
-    # the next rank waits for the previous rank's representative, whose
-    # completion publishes the warm-start hint the next solves consume.
-    warm_chains = 0
-    for ranks in hint_groups.values():
-        if len(ranks) < 2:
-            continue
-        warm_chains += 1
-        ordered = sorted(ranks)
-        for previous, current in zip(ordered, ordered[1:]):
-            representative = ranks[previous][0]
-            for node in ranks[current]:
-                add_edge(representative, node)
+        solve_digest = _plan_signature(node.cell)
+        if solve_digest is not None:
+            add_edge(solve_groups.setdefault(solve_digest, node), node)
 
     for before, after in sorted(edges):
         nodes[after].deps.add(before)
@@ -219,7 +173,6 @@ def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
         nodes=nodes,
         cells_enumerated=len(pairs),
         ordering_edges=len(edges),
-        warm_chains=warm_chains,
     )
 
 
@@ -228,9 +181,7 @@ def cell_result_fingerprint(result: SystemResult) -> str:
 
     Includes the simulated step time, the trace's columnar digest and the
     execution plan; excludes wall-clock metadata (``solve_seconds``,
-    ``profiling_seconds``) and hint-dependent search metadata
-    (``nodes_explored``, ``warm_started``) — a warm-started solve must
-    fingerprint identically to the cold solve it is bit-identical to.
+    ``profiling_seconds``) and search metadata (``nodes_explored``).
     """
     plan_report = result.extras.get("plan_report")
     return fingerprint(
@@ -254,11 +205,10 @@ class ScheduleReport:
     cells_deduped: int
     cells_precached: int
     cells_computed: int
-    cells_shared: int  # found in a shared tier by the worker before leasing
-    cells_coalesced: int  # lease lost to another process; read its result
+    cells_shared: int  # the worker's run_cell hit a shared cache tier
+    cells_coalesced: int  # always 0: kept for report readers
     duplicate_solves: int  # drain-wide "system" misses beyond cells_computed
     ordering_edges: int
-    warm_chains: int
     worker_cache: dict  # per-namespace stats summed over drain processes
     cells_fingerprint: str
 
@@ -266,57 +216,20 @@ class ScheduleReport:
         return dataclasses.asdict(self)
 
 
-def _worker_init(config: CacheConfig, hint_db: str | None) -> None:
-    """Pool entry: adopt the parent cache config and the shared hint store."""
+def _worker_init(config: CacheConfig) -> None:
+    """Pool entry: adopt the parent cache config."""
     configure_cache(memory=config.memory, disk=config.disk, directory=config.directory)
-    if hint_db is not None:
-        from repro.core.api import set_partition_hint_store
-        from repro.serve.store import DurableStore
-
-        set_partition_hint_store(DurableStore(hint_db))
 
 
-def _cell_worker(
-    task: tuple[ExperimentCell, str, str | None],
-) -> tuple[SystemResult, str, dict]:
-    """Compute one cell under the lease protocol.
+def _cell_worker(cell: ExperimentCell) -> tuple[SystemResult, dict]:
+    """Compute one cell; returns ``(result, stats_delta)``.
 
-    Returns ``(result, outcome, stats_delta)`` where ``outcome`` is
-    ``"computed"`` (this process ran the cell), ``"shared"`` (a shared
-    cache tier already had it) or ``"coalesced"`` (another process held
-    the lease; we waited and read its result).  Runs both in pool workers
-    and inline for ``jobs=1`` drains — the protocol is identical.
+    Runs both in pool workers and inline for ``jobs=1`` drains.
     """
-    cell, digest, lease_dir = task
     cache = get_cache()
     before = cache.stats_snapshot()
-    if lease_dir is None:
-        result = run_cell(cell)
-        outcome = "computed"
-    else:
-        leases = LeaseTable(lease_dir)
-        value, found = cache.lookup("system", cell)
-        if found:
-            result, outcome = value, "shared"
-        elif leases.acquire("system", digest):
-            try:
-                result = run_cell(cell)
-            finally:
-                leases.release("system", digest)
-            outcome = "computed"
-        else:
-            verdict = leases.wait("system", digest)
-            value, found = cache.lookup("system", cell)
-            if found and verdict == "released":
-                result, outcome = value, "coalesced"
-            else:
-                # The holder died or outlived the wait budget (or never
-                # shared a cache tier with us): duplicate work beats a
-                # missing result, and content-addressing keeps it safe.
-                result = run_cell(cell)
-                outcome = "computed"
-    delta = _stats_delta(before, cache.stats_snapshot())
-    return result, outcome, delta
+    result = run_cell(cell)
+    return result, _stats_delta(before, cache.stats_snapshot())
 
 
 def _stats_delta(before: dict, after: dict) -> dict:
@@ -349,22 +262,13 @@ def drain(
     """Dedup, order and compute ``(figure, cell)`` pairs through one pool.
 
     Uses the process-global cache as configured by the caller (the suite
-    wraps this in ``cache_overridden``).  When the disk tier is enabled,
-    drain processes additionally share a lease table and a durable
-    warm-start hint store under the versioned cache directory.
+    wraps this in ``cache_overridden``); pool workers adopt its config, so
+    with the disk tier enabled every drain process shares one directory.
     """
     schedule = build_schedule(pairs)
     cache = get_cache()
 
-    lease_dir: str | None = None
-    hint_db: str | None = None
-    if cache.config.disk:
-        base = Path(cache.config.directory) / f"v{CACHE_VERSION}"
-        base.mkdir(parents=True, exist_ok=True)
-        lease_dir = str(base / LEASE_DIRNAME)
-        hint_db = str(base / HINT_DB_FILENAME)
-
-    counters = {"computed": 0, "shared": 0, "coalesced": 0}
+    counters = {"computed": 0, "shared": 0}
     stats_deltas: list[dict] = []
     results: dict[int, SystemResult] = {}
     precached = 0
@@ -410,85 +314,54 @@ def drain(
     ready = resolved
     pending_total += len(waiting)
 
-    parent_hint_previous = None
-    parent_hint_store = None
-    if hint_db is not None and pending_total:
-        from repro.core.api import set_partition_hint_store
-        from repro.serve.store import DurableStore
+    def record(node: CellNode, result: SystemResult, delta: dict) -> None:
+        results[node.index] = result
+        # A "system" hit inside run_cell means another process already
+        # persisted the cell to the shared disk tier.
+        hit = delta.get("system", {}).get("hits", 0) > 0
+        counters["shared" if hit else "computed"] += 1
+        stats_deltas.append(delta)
+        complete(node)
 
-        parent_hint_store = DurableStore(hint_db)
-        parent_hint_previous = set_partition_hint_store(parent_hint_store)
+    if pending_total and jobs <= 1:
+        while ready:
+            node = ready.popleft()
+            value, found = cache.lookup("system", node.cell)
+            if found:  # unlocked by a dependency that was precached
+                results[node.index] = value
+                precached += 1
+                complete(node)
+            else:
+                record(node, *_cell_worker(node.cell))
+    elif pending_total:
+        # Spawn, not fork: workers start from a clean interpreter and
+        # adopt only the parent's cache config, so no parent state leaks
+        # into any cell.
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, pending_total),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_init,
+            initargs=(cache.config,),
+        ) as pool:
+            in_flight: dict = {}
 
-    try:
-        if pending_total:
-            if jobs <= 1:
+            def submit_ready() -> None:
                 while ready:
                     node = ready.popleft()
-                    value, found = cache.lookup("system", node.cell)
-                    if found:  # unlocked by a dependency that was precached
-                        results[node.index] = value
-                        precached += 1
-                    else:
-                        result, outcome, delta = _cell_worker(
-                            (node.cell, node.digest, lease_dir)
-                        )
-                        results[node.index] = result
-                        counters[outcome] += 1
-                        stats_deltas.append(delta)
-                    complete(node)
-            else:
-                # Spawn, not fork: a forked worker would inherit the
-                # parent's in-memory warm-start registry, silently turning
-                # "cross-process hints flow through the durable store" into
-                # "hints leak through fork".  Spawned workers start with an
-                # empty registry, so the hint store is the only channel —
-                # exactly what the cross-process tests assert.
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, pending_total),
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_worker_init,
-                    initargs=(cache.config, hint_db),
-                ) as pool:
-                    in_flight: dict = {}
+                    in_flight[pool.submit(_cell_worker, node.cell)] = node
 
-                    def submit_ready() -> None:
-                        while ready:
-                            node = ready.popleft()
-                            future = pool.submit(
-                                _cell_worker, (node.cell, node.digest, lease_dir)
-                            )
-                            in_flight[future] = node
-
-                    submit_ready()
-                    while in_flight:
-                        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                        # Account completions in node order so counters and
-                        # stats fold deterministically regardless of which
-                        # worker finished first.
-                        for future in sorted(done, key=lambda f: in_flight[f].index):
-                            node = in_flight.pop(future)
-                            result, outcome, delta = future.result()
-                            cache.adopt("system", node.cell, result)
-                            results[node.index] = result
-                            counters[outcome] += 1
-                            stats_deltas.append(delta)
-                            complete(node)
-                        submit_ready()
-    finally:
-        if parent_hint_store is not None:
-            from repro.core.api import set_partition_hint_store
-
-            set_partition_hint_store(parent_hint_previous)
-            parent_hint_store.close()
-        if lease_dir is not None:
-            # Crash hygiene: any lease this *drain* leaked is stale now.
-            # Live leases of other processes are left alone (their PIDs
-            # are alive), so this only drops our own.
-            table = LeaseTable(lease_dir)
-            for node in schedule.nodes:
-                holder = table.holder("system", node.digest)
-                if holder is not None and not table._alive(holder):
-                    table.release("system", node.digest)
+            submit_ready()
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                # Account completions in node order so counters and stats
+                # fold deterministically regardless of which worker
+                # finished first.
+                for future in sorted(done, key=lambda f: in_flight[f].index):
+                    node = in_flight.pop(future)
+                    result, delta = future.result()
+                    cache.adopt("system", node.cell, result)
+                    record(node, result, delta)
+                submit_ready()
 
     worker_cache = merge_stats(*stats_deltas)
     drain_system_misses = worker_cache.get("system", {}).get("misses", 0)
@@ -506,10 +379,9 @@ def drain(
         cells_precached=precached,
         cells_computed=counters["computed"],
         cells_shared=counters["shared"],
-        cells_coalesced=counters["coalesced"],
+        cells_coalesced=0,
         duplicate_solves=max(0, drain_system_misses - counters["computed"]),
         ordering_edges=schedule.ordering_edges,
-        warm_chains=schedule.warm_chains,
         worker_cache=worker_cache,
         cells_fingerprint=cells_fingerprint,
     )

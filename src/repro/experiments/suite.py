@@ -7,10 +7,8 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
 1. **Schedule** — every module's ``cells()`` enumeration flattens into one
    suite-wide work graph (:mod:`repro.experiments.schedule`): duplicate
    cells collapse to a single compute, cells sharing a MIP solve queue
-   behind it, sweep cells run in warm-start order, and the whole graph
-   drains through one global process pool (``jobs`` workers) sharing the
-   disk cache, a durable warm-start hint store and a cross-process lease
-   table.
+   behind it, and the whole graph drains through one global process pool
+   (``jobs`` workers) sharing the disk cache.
 2. **Assemble** — the figure modules then run serially in-process; every
    ``run_system`` call they make is a cache hit, so assembly is cheap and
    its output order is the requested order.
@@ -20,7 +18,7 @@ worker's per-cell fan-out with ``REPRO_JOBS=1``; the cell scheduler
 replaces both levels, so that pin is gone.)
 
 The timing report records per-figure wall time and cache counters, the
-schedule's dedup/coalescing counters, and two determinism fingerprints:
+schedule's dedup counters, and two determinism fingerprints:
 ``cells_fingerprint`` (the deterministic faces of every unique cell's
 result — identical across ``jobs`` values and across machines) and
 ``output_fingerprint`` (the exact figure text assembled from one cache).
@@ -322,8 +320,7 @@ def check_identity(
     * **solo drain** — every cell is re-solved serially in a scratch cache;
       its ``cells_fingerprint`` (deterministic result faces) must equal the
       pool drain's.  This is the cross-process determinism claim: worker
-      count, completion order, lease waits and warm-start hits never change
-      what a cell returns.
+      count and completion order never change what a cell returns.
     * **replay assembly** — the figures are re-assembled at ``jobs=1`` over
       the same warm cache as ``report``; the output text must be
       byte-identical.  (Byte-identity *across* caches is deliberately not

@@ -9,9 +9,9 @@ time-to-recover:
 * ``replan_seconds`` — modeled planner latency: the config's
   ``partition_time_limit``.  The MIP itself stops on a deterministic node
   budget and reads no clock, so the charged time-to-recover never depends
-  on the realized solve time (MOB002).  The re-solve warm-starts from the
-  pre-fault partition's boundaries (the ``repro.core.api`` hint
-  registry), which shrinks the realized search well below the budget.
+  on the realized solve time (MOB002).  The re-solve is an ordinary cold
+  solve of the surviving topology: it does not depend on the pre-fault
+  plan.
 * ``migration_seconds`` — restoring the dropped GPU's stage state from the
   DRAM checkpoint.  Mobius keeps parameters in DRAM by design, so only the
   dead GPU's working set (the FP16 parameters of its stages) must be
@@ -129,16 +129,8 @@ class ReplanResult:
     def solver_nodes(self) -> int:
         """Branch & bound nodes the re-plan's partition solve explored.
 
-        With a warm start from the pre-fault plan this is typically far
-        below a cold solve — the recovery-latency headline of the
-        incremental re-solve path."""
+        Equal to a cold solve of the surviving topology."""
         return self.plan_report.partition_result.nodes_explored
-
-    @property
-    def warm_started(self) -> bool:
-        """Whether the re-plan's partition solve was seeded by a previous
-        solution's boundaries."""
-        return self.plan_report.partition_result.warm_started
 
 
 def replan_after_dropout(

@@ -32,7 +32,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import time
 from pathlib import Path
 from typing import Callable
 
@@ -42,7 +41,6 @@ __all__ = [
     "CACHE_VERSION",
     "CacheConfig",
     "CacheStats",
-    "LeaseTable",
     "ResultCache",
     "cache_overridden",
     "configure_cache",
@@ -306,107 +304,6 @@ def merge_stats(*snapshots: dict) -> dict:
             for key, value in counters.items():
                 into[key] = into.get(key, 0) + value
     return {namespace: merged[namespace] for namespace in sorted(merged)}
-
-
-class LeaseTable:
-    """Cross-process in-flight dedup: one lease per ``(namespace, digest)``.
-
-    A lease is an ``O_CREAT | O_EXCL`` file under the cache directory whose
-    payload is the holder's PID.  Before computing a cell, a scheduler
-    worker tries to :meth:`acquire` the cell's lease; losing the race means
-    *another process is already computing this exact key*, so the loser
-    :meth:`wait`\\ s for the lease to clear and re-reads the cache instead
-    of solving the same problem twice (serve-style request coalescing,
-    lifted to suite workers).
-
-    Leases are purely a work-avoidance protocol, never a correctness one:
-    every outcome — lease broken because its holder died, a wait that
-    exhausts ``max_polls``, a filesystem that refuses the lock file —
-    degrades to "compute it yourself", which is exactly what would have
-    happened without the table.  Wall time therefore paces the polling
-    loop but never steers what any caller returns.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        poll_interval: float = 0.05,
-        max_polls: int = 2400,
-        sleeper: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.directory = Path(directory)
-        self.poll_interval = poll_interval
-        self.max_polls = max_polls
-        self._sleep = sleeper  # injectable so coalescing tests never wait
-
-    def _path(self, namespace: str, digest: str) -> Path:
-        return self.directory / f"{namespace}.{digest}.lease"
-
-    def acquire(self, namespace: str, digest: str) -> bool:
-        """Try to claim the lease; ``True`` iff this process now holds it."""
-        path = self._path(namespace, digest)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return True  # unusable lease dir: degrade to computing locally
-        try:
-            os.write(fd, str(os.getpid()).encode("ascii"))
-        finally:
-            os.close(fd)
-        return True
-
-    def release(self, namespace: str, digest: str) -> None:
-        with contextlib.suppress(OSError):
-            os.unlink(self._path(namespace, digest))
-
-    def holder(self, namespace: str, digest: str) -> int | None:
-        """PID currently holding the lease, or ``None`` if unheld."""
-        try:
-            payload = self._path(namespace, digest).read_bytes()
-            return int(payload) if payload else None
-        except (OSError, ValueError):
-            return None
-
-    @staticmethod
-    def _alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:
-            return True  # EPERM: alive but not ours
-        return True
-
-    def wait(self, namespace: str, digest: str) -> str:
-        """Block until the lease clears; ``"released"|"broken"|"timeout"``.
-
-        ``released`` — the holder finished (its result should now be in
-        the shared cache tier); ``broken`` — the holder died mid-compute
-        and this caller removed the stale lease; ``timeout`` — the holder
-        outlived ``max_polls`` polls.  On ``broken``/``timeout`` the
-        caller should compute the value itself.
-        """
-        path = self._path(namespace, digest)
-        for _ in range(self.max_polls):
-            if not path.exists():
-                return "released"
-            pid = self.holder(namespace, digest)
-            if pid is not None and not self._alive(pid):
-                self.release(namespace, digest)
-                return "broken"
-            self._sleep(self.poll_interval)
-        return "timeout"
-
-    def clear(self) -> None:
-        """Remove every lease file (end-of-drain hygiene)."""
-        with contextlib.suppress(OSError):
-            for path in self.directory.glob("*.lease"):
-                with contextlib.suppress(OSError):
-                    path.unlink()
 
 
 _cache = ResultCache()

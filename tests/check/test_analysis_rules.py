@@ -318,12 +318,12 @@ class TestMob007:
 
     def test_registry_touching_function_joins_the_frontier(self):
         report = _analyze(
-            AnalysisConfig(race_registries=("repro.core.api._PARTITION_HINTS",)),
+            AnalysisConfig(race_registries=("repro.core.api._REGISTRY",)),
             src__repro__core__api="""
-            _PARTITION_HINTS = {}
+            _REGISTRY = {}
 
             def plan(key, value):
-                _PARTITION_HINTS[key] = value
+                _REGISTRY[key] = value
             """,
         )
         mob007 = [f for f in report if f.code == "MOB007"]

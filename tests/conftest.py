@@ -64,20 +64,9 @@ def _auto_sanitize_traces(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _restore_module_registries(monkeypatch):
-    """Start every test from the same module-global planning state.
-
-    Warm-start hints can change a budget-truncated search's incumbent, so a
-    hint leaked from one test would make another's result depend on test
-    order.  The hint registry starts empty; the durable hint store, the
-    hint capacity and the global result cache (with its durable backend)
-    are restored when the test ends.
-    """
-    from repro.core import api
+def _restore_result_cache(monkeypatch):
+    """Restore the global result cache (and its durable backend) after each test."""
     from repro.perf import cache
 
-    api._PARTITION_HINTS.clear()
-    monkeypatch.setattr(api, "_HINT_STORE", api._HINT_STORE)
-    monkeypatch.setattr(api, "_PARTITION_HINT_CAPACITY", api._PARTITION_HINT_CAPACITY)
     monkeypatch.setattr(cache, "_cache", cache._cache)
     monkeypatch.setattr(cache._cache, "_backend", cache._cache._backend)

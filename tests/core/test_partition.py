@@ -196,6 +196,27 @@ class TestDeterministicBudgets:
         assert jumped.nodes_explored == reference.nodes_explored
         assert jumped.optimal == reference.optimal
 
+    def test_solve_independent_of_earlier_solves(self):
+        # A fault re-plan's survivor solve, run after the pre-fault solve
+        # in the same process, must explore exactly the tree it explores
+        # when planned alone: no earlier solve may seed its incumbent.
+        from repro.core.api import MobiusConfig, plan_mobius
+        from repro.faults.replan import surviving_topology
+        from repro.hardware.topology import commodity_server
+        from repro.models.zoo import gpt2_small
+        from repro.perf.cache import cache_overridden
+
+        model = gpt2_small()
+        topology = commodity_server([2, 2])
+        survivors = surviving_topology(topology, 3)
+        with cache_overridden(memory=False, disk=False):
+            alone = plan_mobius(model, survivors, MobiusConfig()).partition_result
+            plan_mobius(model, topology, MobiusConfig())
+            after = plan_mobius(model, survivors, MobiusConfig()).partition_result
+        assert not alone.warm_started and not after.warm_started
+        assert after.nodes_explored == alone.nodes_explored
+        assert after.partition.boundaries == alone.partition.boundaries
+
 
 class TestPartitionWarmStart:
     def test_warm_start_cannot_change_the_result(self, model, cm):

@@ -1,16 +1,15 @@
-"""Suite-wide cell scheduler: enumeration, ordering, leases, drains."""
+"""Suite-wide cell scheduler: enumeration, ordering, drains."""
 
 from __future__ import annotations
 
-import os
+import dataclasses
 
 import pytest
 
 from repro.core.api import MobiusConfig
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import ExperimentCell
+from repro.experiments.runner import ExperimentCell, run_cell
 from repro.experiments.schedule import (
-    LEASE_DIRNAME,
     build_schedule,
     cell_result_fingerprint,
     drain,
@@ -19,7 +18,7 @@ from repro.experiments.schedule import (
     run_cells,
 )
 from repro.hardware.topology import commodity_server
-from repro.perf.cache import CACHE_VERSION, LeaseTable, cache_overridden, get_cache
+from repro.perf.cache import cache_overridden, get_cache
 from repro.perf.fingerprint import fingerprint
 
 #: Modules cheap enough to actually drain inside a unit test.
@@ -41,15 +40,13 @@ class TestEnumeration:
         """Figures genuinely share cells (fig2/sec23, fig10/fig11, fig7⊇fig8)."""
         schedule = build_schedule(enumerate_cells(ALL_EXPERIMENTS, fast=False))
         assert schedule.cells_deduped > 0
-        assert schedule.warm_chains >= 1
         shared = [node for node in schedule.nodes if len(node.figures) > 1]
         assert shared, "no cell is claimed by more than one figure"
 
     def test_graph_is_acyclic_and_rank_ordered(self):
         schedule = build_schedule(enumerate_cells(ALL_EXPERIMENTS, fast=False))
-        # Every edge points from lower-or-equal stage rank to higher (hint
-        # chains) or within a rank (solve groups) — so Kahn's algorithm
-        # must consume every node.
+        # Every edge joins two cells of one partition solve, so both share
+        # a stage rank — and Kahn's algorithm must consume every node.
         indegree = {node.index: len(node.deps) for node in schedule.nodes}
         frontier = [i for i, d in indegree.items() if d == 0]
         seen = 0
@@ -65,65 +62,16 @@ class TestEnumeration:
             for dep in node.deps:
                 assert (
                     schedule.nodes[dep].cell.topology.n_gpus
-                    <= node.cell.topology.n_gpus
+                    == node.cell.topology.n_gpus
                 )
 
-    def test_sweep_orders_stage_counts(self):
-        """fig14's N-GPU cell precedes every (N+1)-GPU cell."""
+    def test_sweep_cells_are_independent(self):
+        """fig14's GPU-count sweep cells are distinct solves: no ordering."""
         schedule = build_schedule(enumerate_cells(["fig14_scalability"], fast=False))
         ranks = sorted({node.cell.topology.n_gpus for node in schedule.nodes})
         assert len(ranks) >= 3
-        for node in schedule.nodes:
-            rank = node.cell.topology.n_gpus
-            if rank > min(ranks):
-                dep_ranks = {schedule.nodes[d].cell.topology.n_gpus for d in node.deps}
-                assert dep_ranks, f"{rank}-GPU cell has no warm-start predecessor"
-                assert max(dep_ranks) < rank
-
-
-class TestLeaseTable:
-    def test_acquire_release_cycle(self, tmp_path):
-        table = LeaseTable(str(tmp_path))
-        assert table.acquire("system", "abc")
-        assert not table.acquire("system", "abc")
-        assert table.holder("system", "abc") == os.getpid()
-        table.release("system", "abc")
-        assert table.acquire("system", "abc")
-        table.release("system", "abc")
-
-    def test_wait_sees_release(self, tmp_path):
-        table = LeaseTable(str(tmp_path))
-        assert table.acquire("system", "abc")
-        polls = []
-
-        def sleeper(seconds):
-            polls.append(seconds)
-            table.release("system", "abc")
-
-        waiter = LeaseTable(str(tmp_path), sleeper=sleeper)
-        assert waiter.wait("system", "abc") == "released"
-        assert polls
-
-    def test_wait_breaks_stale_lease_of_dead_holder(self, tmp_path):
-        table = LeaseTable(str(tmp_path))
-        path = table._path("system", "abc")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A PID that cannot be a live process holds the lease.
-        path.write_text("999999999")
-        waiter = LeaseTable(str(tmp_path), sleeper=lambda _: None)
-        assert waiter.wait("system", "abc") == "broken"
-        assert waiter.acquire("system", "abc")
-        waiter.release("system", "abc")
-
-    def test_wait_times_out(self, tmp_path):
-        table = LeaseTable(str(tmp_path))
-        assert table.acquire("system", "abc")
-        waiter = LeaseTable(str(tmp_path), max_polls=3, sleeper=lambda _: None)
-        assert waiter.wait("system", "abc") == "timeout"
-        table.release("system", "abc")
-
-    def test_release_without_acquire_is_noop(self, tmp_path):
-        LeaseTable(str(tmp_path)).release("system", "never-acquired")
+        assert schedule.ordering_edges == 0
+        assert all(not node.deps for node in schedule.nodes)
 
 
 class TestDrain:
@@ -167,36 +115,34 @@ class TestDrain:
                 assert result.trace is None
                 assert result.extras["plan_report"].plan is not None
 
-    def test_contended_cell_coalesces_under_held_lease(self, tmp_path, monkeypatch):
-        """A lease held by a live process makes the drain wait, then read."""
-        from repro.experiments import schedule as schedule_mod
-
-        cell = figure_cells("fig2_deepspeed_cdf", fast=True)[0]
-        digest = fingerprint(cell)
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            cache = get_cache()
-            lease_dir = str(tmp_path / f"v{CACHE_VERSION}" / LEASE_DIRNAME)
-            holder = LeaseTable(lease_dir)
-            assert holder.acquire("system", digest)
-
-            # While "another process" (this test, same live PID) holds the
-            # lease, it computes and publishes the result; our waiter polls,
-            # sees the release, and reads the published value.
-            def release_and_publish(_seconds):
-                from repro.experiments.runner import run_cell
-
-                result = run_cell(cell)
-                cache.store("system", cell, result)
-                holder.release("system", digest)
-
-            monkeypatch.setattr(
-                schedule_mod,
-                "LeaseTable",
-                lambda directory: LeaseTable(directory, sleeper=release_and_publish),
+    def test_cell_persisted_by_another_process_counts_as_shared(
+        self, tiny_model, tmp_path
+    ):
+        """A pool worker whose run_cell hits the shared disk tier reports
+        the cell as shared, not computed."""
+        config = MobiusConfig(microbatch_size=1, partition_time_limit=1.0)
+        leader, follower = (
+            ExperimentCell(
+                system="mobius",
+                model=tiny_model,
+                topology=commodity_server([1, 1]),
+                mobius_config=dataclasses.replace(config, mapping_method=method),
             )
-            report = drain([("fig2", cell)], jobs=1)
-        assert report.cells_coalesced == 1
-        assert report.cells_computed == 0
+            for method in ("cross", "sequential")
+        )
+        directory = str(tmp_path)
+        # "Another process" persists the follower to the shared directory.
+        with cache_overridden(memory=True, disk=True, directory=directory):
+            run_cell(follower)
+        # The follower waits on the leader's solve, so the drain never
+        # probes it and its pool worker finds it on disk.
+        with cache_overridden(memory=True, disk=True, directory=directory):
+            report = drain([("a", leader), ("b", follower)], jobs=2)
+        assert report.ordering_edges == 1
+        assert report.cells_computed == 1
+        assert report.cells_shared == 1
+        assert report.cells_coalesced == 0
+        assert report.duplicate_solves == 0
 
 
 def _sweep_cell(tiny_model, n_gpus: int) -> ExperimentCell:
@@ -209,42 +155,27 @@ def _sweep_cell(tiny_model, n_gpus: int) -> ExperimentCell:
     )
 
 
-class TestCrossProcessWarmStart:
-    def test_hint_flows_through_durable_store(self, tiny_model, tmp_path):
-        """The (N+1)-GPU solve in a *fresh process* consumes the N hint.
-
-        Each drain uses ``jobs=2``, so the solve happens in a pool worker
-        whose in-memory hint registry starts empty: the only way the second
-        drain's worker can warm-start is the durable hint store under the
-        shared cache directory.
-        """
+class TestCellIndependence:
+    def test_earlier_drain_cannot_change_a_cell(self, tiny_model, tmp_path):
+        """A cell drained after a related sweep cell equals the cell drained
+        alone, down to the partition search's node count."""
         n2 = _sweep_cell(tiny_model, 2)
         n3 = _sweep_cell(tiny_model, 3)
 
-        # Cold reference: n3 solved alone, no hint anywhere.
-        with cache_overridden(
-            memory=True, disk=True, directory=str(tmp_path / "solo")
-        ):
-            solo = drain([("sweep", n3)], jobs=2)
-            cold = get_cache().lookup("system", n3)[0]
-        cold_partition = cold.extras["plan_report"].partition_result
-        assert not cold_partition.warm_started
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path / "solo")):
+            solo = drain([("sweep", n3)], jobs=1)
+            alone = get_cache().lookup("system", n3)[0]
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path / "chain")):
+            drain([("sweep", n2)], jobs=1)
+            chained = drain([("sweep", n3)], jobs=1)
+            after = get_cache().lookup("system", n3)[0]
 
-        # Warm path: n2 first (publishes its hint durably), n3 second.
-        with cache_overridden(
-            memory=True, disk=True, directory=str(tmp_path / "chain")
-        ):
-            drain([("sweep", n2)], jobs=2)
-            chained = drain([("sweep", n3)], jobs=2)
-            warm = get_cache().lookup("system", n3)[0]
-        warm_partition = warm.extras["plan_report"].partition_result
-        assert warm_partition.warm_started
-        assert warm_partition.nodes_explored <= cold_partition.nodes_explored
-
-        # Warm starts must be invisible in results: identical partitions,
-        # identical deterministic faces, identical drain fingerprints.
+        alone_partition = alone.extras["plan_report"].partition_result
+        after_partition = after.extras["plan_report"].partition_result
+        assert not after_partition.warm_started
+        assert after_partition.nodes_explored == alone_partition.nodes_explored
         assert (
-            warm_partition.partition.boundaries == cold_partition.partition.boundaries
+            after_partition.partition.boundaries == alone_partition.partition.boundaries
         )
-        assert cell_result_fingerprint(warm) == cell_result_fingerprint(cold)
+        assert cell_result_fingerprint(after) == cell_result_fingerprint(alone)
         assert chained.cells_fingerprint == solo.cells_fingerprint
