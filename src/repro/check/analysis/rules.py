@@ -25,12 +25,13 @@ the helper lives in.
   purpose: cross-function escapes are the (documented) under-approximation.
 
 * **MOB007 — shared-state race.**  Module-level mutable state written from
-  a function reachable from the process-pool workers
-  (``run_systems_parallel`` / ``_run_cell`` / ``_worker_init``) or from any
-  function touching a registered race registry (``race_registries``) must
-  go through a documented synchronization seam (``sync_seams``).  Reads
-  are fine; writes — including ``next()`` on a shared ``itertools.count``
-  and mutating-method calls — are not.
+  a function reachable from the process-pool workers (the cell drain's
+  ``_cell_worker`` / ``_worker_init``, the serve daemon's dispatch loop and
+  solver children) or from any function touching a registered race
+  registry (``race_registries``) must go through a documented
+  synchronization seam (``sync_seams``).  Reads are fine; writes —
+  including ``next()`` on a shared ``itertools.count`` and mutating-method
+  calls — are not.
 """
 
 from __future__ import annotations
@@ -121,12 +122,8 @@ class AnalysisConfig:
     callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
     #: MOB007 roots: the process-pool worker surface.
     worker_entry_points: tuple[str, ...] = (
-        "repro.experiments.runner.run_systems_parallel",
-        "repro.experiments.runner._run_cell",
-        "repro.experiments.runner._worker_init",
         # The suite-wide cell scheduler's pool workers adopt the parent
-        # cache config, so their global writes follow the same seam
-        # discipline.
+        # cache config, so their global writes follow the seam discipline.
         "repro.experiments.schedule._cell_worker",
         "repro.experiments.schedule._worker_init",
         # The serve daemon's dispatch thread and its solver child

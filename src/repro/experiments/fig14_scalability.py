@@ -6,10 +6,8 @@ with the GPU count (M = N).  Expected shapes: throughput scales at least
 linearly with even GPU counts; odd counts dip slightly (uneven root-complex
 contention).
 
-The sweep's GPU counts are independent cells, so they fan out per cell
-through :func:`~repro.experiments.runner.run_systems_parallel` (sharing
-the disk result cache across workers); the table is assembled serially in
-sweep order afterwards.
+Each GPU count is one independent cell, run in sweep order; the suite's
+drain computes them ahead of assembly (:mod:`repro.experiments.schedule`).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentTable,
     print_tables,
-    run_systems_parallel,
 )
 from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_15b
@@ -46,25 +43,19 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     return tuple(_cell(groups) for _, groups in _sweep(fast))
 
 
-def run(fast: bool = False, jobs: int | None = None) -> ExperimentTable:
+def run(fast: bool = False) -> ExperimentTable:
     """Regenerate Figure 14.
 
     Args:
         fast: Sweep only the even GPU counts (the CI subset).
-        jobs: Per-cell worker processes (``None`` =
-            :func:`~repro.experiments.runner.default_jobs`).
     """
     table = ExperimentTable(
         title="Figure 14: Mobius scalability (15B model, samples/second)",
         columns=("gpus", "groups", "step_s", "throughput", "linear_ref", "speedup_vs_linear"),
     )
-    sweep = _sweep(fast)
-    results = run_systems_parallel(
-        [_cell(groups) for _, groups in sweep], jobs=jobs
-    )
-
     baseline_throughput = None
-    for (n, groups), result in zip(sweep, results):
+    for n, groups in _sweep(fast):
+        result = _cell(groups).run()
         assert result.ok
         samples = result.extras["plan_report"].plan.n_microbatches  # mbs 1, M = N
         throughput = samples / result.step_seconds

@@ -6,10 +6,9 @@ shapes: the DeepSpeed/Mobius contention gap narrows relative to the
 commodity server, but Mobius still sees less contention (fewer simultaneous
 stage transfers).
 
-The (model, system) grid is embarrassingly parallel, so the cells fan out
-through :func:`~repro.experiments.runner.run_systems_parallel` (sharing
-the disk result cache across workers) and the table is assembled serially
-in grid order.
+Each (model, system) pair is one independent cell, run in grid order; the
+suite's drain computes them ahead of assembly
+(:mod:`repro.experiments.schedule`).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentTable,
     print_tables,
-    run_systems_parallel,
 )
 from repro.hardware.topology import datacenter_server
 from repro.models.zoo import gpt_8b, gpt_15b
@@ -54,35 +52,22 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     )
 
 
-def run(fast: bool = False, jobs: int | None = None) -> ExperimentTable:
+def run(fast: bool = False) -> ExperimentTable:
     """Regenerate Figure 16's summary statistics.
 
     Args:
         fast: Only the 8B model (the CI subset).
-        jobs: Per-cell worker processes (``None`` =
-            :func:`~repro.experiments.runner.default_jobs`).
     """
-    models = _models(fast)
     table = ExperimentTable(
         title="Figure 16: GPU-CPU bandwidth CDF summary on the DC server",
         columns=("model", "system", "median_GBps", "above_8GBps"),
     )
-    topology = datacenter_server()
-    grid = [
-        (model_factory(), system)
-        for model_factory in models
-        for system in ("deepspeed", "mobius")
-    ]
-    cells = [
-        ExperimentCell(system=system, model=model, topology=topology, microbatch_size=2)
-        for model, system in grid
-    ]
-    results = run_systems_parallel(cells, jobs=jobs)
-    for (model, system), result in zip(grid, results):
+    for cell in cells(fast):
+        result = cell.run()
         assert result.trace is not None
         table.add_row(
-            model.name,
-            system,
+            cell.model.name,
+            cell.system,
             result.trace.median_bandwidth(kinds=_DRAM_KINDS) / 1e9,
             fraction_of_bytes_above(result.trace, 8.0, kinds=_DRAM_KINDS),
         )

@@ -6,6 +6,11 @@ plus a ``main()`` so it can be executed directly:
 
     python -m repro.experiments.fig5_overall
 
+A figure runs its cells in-process, in sweep order.  The one process
+pool for cells is the suite's drain (:mod:`repro.experiments.schedule`),
+which computes every figure's cells ahead of assembly so the figures'
+own ``run()`` calls are cache hits.
+
 The benchmark suite (``benchmarks/``) wraps the same entry points.
 """
 
@@ -13,9 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.baselines.deepspeed import DeepSpeedConfig, run_deepspeed
 from repro.baselines.gpipe import (
@@ -28,7 +31,7 @@ from repro.core.api import MobiusConfig, run_mobius
 from repro.core.partition import PlanInfeasibleError
 from repro.hardware.topology import Topology
 from repro.models.spec import ModelSpec
-from repro.perf.cache import CacheConfig, configure_cache, get_cache
+from repro.perf.cache import get_cache
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -36,11 +39,9 @@ __all__ = [
     "ExperimentCell",
     "PlanInfeasibleError",
     "SystemResult",
-    "default_jobs",
-    "resolve_jobs",
+    "cell_mobius_config",
     "run_cell",
     "run_system",
-    "run_systems_parallel",
     "SYSTEMS",
 ]
 
@@ -167,21 +168,31 @@ def run_cell(cell: "ExperimentCell") -> SystemResult:
     return dataclasses.replace(result, extras=dict(result.extras))
 
 
+def cell_mobius_config(cell: "ExperimentCell") -> MobiusConfig:
+    """The configuration a ``mobius`` cell plans with.
+
+    The cell's own ``mobius_config`` if it has one; otherwise the default:
+    the cell's microbatch size (else the model's Table 3 value), its
+    microbatch count, and a 1 s partition time limit.  The scheduler keys
+    solve-sharing on this same config, so both agree on what a cell solves.
+    """
+    if cell.mobius_config is not None:
+        return cell.mobius_config
+    return MobiusConfig(
+        microbatch_size=cell.microbatch_size or cell.model.default_microbatch_size,
+        n_microbatches=cell.n_microbatches,
+        partition_time_limit=1.0,
+    )
+
+
 def _run_system_uncached(cell: "ExperimentCell") -> SystemResult:
     system, model, topology = cell.system, cell.model, cell.topology
     n_microbatches = cell.n_microbatches
-    deepspeed_config = cell.deepspeed_config
-    mobius_config = cell.mobius_config
     mbs = cell.microbatch_size or model.default_microbatch_size
     if cell.plan_only:
         from repro.core.api import plan_mobius
 
-        config = mobius_config or MobiusConfig(
-            microbatch_size=mbs,
-            n_microbatches=n_microbatches,
-            partition_time_limit=1.0,
-        )
-        report = plan_mobius(model, topology, config)
+        report = plan_mobius(model, topology, cell_mobius_config(cell))
         return SystemResult(
             system, "ok", float("nan"), None, extras={"plan_report": report}
         )
@@ -200,16 +211,11 @@ def _run_system_uncached(cell: "ExperimentCell") -> SystemResult:
             report = run_zero_offload(model, topology, microbatch_size=mbs)
             return SystemResult(system, "ok", report.step_seconds, report.trace)
         if system == "deepspeed":
-            config = deepspeed_config or DeepSpeedConfig(microbatch_size=mbs)
+            config = cell.deepspeed_config or DeepSpeedConfig(microbatch_size=mbs)
             report = run_deepspeed(model, topology, config)
             return SystemResult(system, "ok", report.step_seconds, report.trace)
         if system == "mobius":
-            config = mobius_config or MobiusConfig(
-                microbatch_size=mbs,
-                n_microbatches=n_microbatches,
-                partition_time_limit=1.0,
-            )
-            report = run_mobius(model, topology, config)
+            report = run_mobius(model, topology, cell_mobius_config(cell))
             return SystemResult(
                 system,
                 "ok",
@@ -227,8 +233,8 @@ class ExperimentCell:
     """One ``run_system`` invocation as a picklable, fingerprintable value.
 
     Doubles as the cache key for :func:`run_system` and as the unit of work
-    for :func:`run_systems_parallel` and the suite-wide cell scheduler
-    (:mod:`repro.experiments.schedule`).
+    for the suite-wide cell scheduler (:mod:`repro.experiments.schedule`),
+    whose drain is the only process pool that runs cells.
 
     ``plan_only`` cells (``system == "mobius"`` only) run the planning
     pipeline without the simulation step: they exist so figures that only
@@ -257,112 +263,6 @@ class ExperimentCell:
 
     def run(self) -> SystemResult:
         return run_cell(self)
-
-
-def _worker_init(config: CacheConfig) -> None:
-    """Adopt the parent's cache configuration in a pool worker."""
-    configure_cache(
-        memory=config.memory, disk=config.disk, directory=config.directory
-    )
-
-
-def default_jobs() -> int:
-    """Worker count when the caller did not pass ``jobs`` explicitly.
-
-    ``REPRO_JOBS`` (a positive integer) wins over the detected CPU count:
-    containers frequently report ``os.cpu_count() == 1`` (or ``None``)
-    while having more cores available.  The suite no longer needs to pin
-    this inside workers — the cell scheduler owns the only process pool,
-    and figure assembly is serial cache-hit replay.
-    """
-    env = os.environ.get("REPRO_JOBS")
-    if env is not None:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be a positive integer, got {env!r}"
-            ) from None
-        if requested <= 0:
-            raise ValueError(f"REPRO_JOBS must be a positive integer, got {env!r}")
-        return requested
-    return os.cpu_count() or 1
-
-
-def resolve_jobs(requested: int | None = None, *, ceiling: int | None = None) -> int:
-    """Effective worker count for a pool honoring ``REPRO_JOBS``.
-
-    An explicit ``requested`` wins verbatim (the operator asked for it);
-    otherwise :func:`default_jobs` decides, optionally capped at
-    ``ceiling`` (a pool whose useful parallelism is bounded — e.g. the
-    servebench worker ladder tops out at four — should not claim more
-    of the container than it can use).
-    """
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"jobs must be >= 1, got {requested}")
-        return requested
-    jobs = default_jobs()
-    if ceiling is not None:
-        jobs = min(jobs, ceiling)
-    return jobs
-
-
-def run_systems_parallel(
-    cells: Sequence[ExperimentCell], *, jobs: int | None = None
-) -> list[SystemResult]:
-    """Run many experiment cells, fanning out across processes.
-
-    Results come back in ``cells`` order regardless of which worker
-    finished first, and OOM outcomes pass through as ordinary
-    ``status == "oom"`` results exactly as in the serial runner.  Workers
-    inherit the parent's cache configuration, so with the disk tier enabled
-    they share results; either way, every computed result is folded back
-    into the parent's cache so later serial code (and later figures) hits.
-
-    Args:
-        cells: Work items, one per (system, configuration) pair.
-        jobs: Worker processes; ``None`` defers to :func:`default_jobs`
-            (the ``REPRO_JOBS`` environment override, else
-            ``os.cpu_count()``).  With one cell or ``jobs <= 1``
-            everything runs serially in-process.
-    """
-    cells = list(cells)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(cells) <= 1:
-        return [cell.run() for cell in cells]
-
-    cache = get_cache()
-    # Cells already cached locally need no worker round-trip (nor a fresh
-    # solve in a worker whose memory tier starts empty).
-    results: list[SystemResult | None] = []
-    pending: list[tuple[int, ExperimentCell]] = []
-    for index, cell in enumerate(cells):
-        value, found = cache.lookup("system", cell)
-        if found:
-            results.append(value)
-        else:
-            results.append(None)
-            pending.append((index, cell))
-
-    if pending:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            initializer=_worker_init,
-            initargs=(cache.config,),
-        ) as pool:
-            for (index, cell), result in zip(
-                pending, pool.map(_run_cell, [cell for _, cell in pending])
-            ):
-                results[index] = result
-                cache.store("system", cell, result)
-    return [dataclasses.replace(r, extras=dict(r.extras)) for r in results]
-
-
-def _run_cell(cell: ExperimentCell) -> SystemResult:
-    """Pool-worker entry point (module-level so it pickles)."""
-    return cell.run()
 
 
 def print_tables(tables: "ExperimentTable | Sequence[ExperimentTable]") -> None:

@@ -1,11 +1,7 @@
 """Suite-wide cell scheduler: one global work pool over every figure's cells.
 
-The figure suite used to parallelise at whole-figure granularity: each
-``fig*`` module ran in its own pool worker with per-cell fan-out pinned to
-serial (``REPRO_JOBS=1``), so wall time was gated by the slowest figure
-while other workers idled, and concurrent figures re-solved the same
-(system, model, topology) cells until the disk cache warmed.  This module
-inverts the structure:
+This module owns the only process pool that runs experiment cells.  It
+computes every figure's cells ahead of the figures themselves:
 
 1. **Enumerate** — every experiment module exposes a ``cells()`` protocol
    beside ``run()``/``main()`` returning the :class:`~repro.experiments.
@@ -43,9 +39,20 @@ from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from repro.core.api import MobiusConfig, partition_solve_key
-from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
-from repro.perf.cache import CacheConfig, configure_cache, get_cache, merge_stats
+from repro.core.api import partition_solve_key
+from repro.experiments.runner import (
+    ExperimentCell,
+    SystemResult,
+    cell_mobius_config,
+    run_cell,
+)
+from repro.perf.cache import (
+    CacheConfig,
+    configure_cache,
+    get_cache,
+    merge_stats,
+    stats_delta,
+)
 from repro.perf.fingerprint import fingerprint
 
 __all__ = [
@@ -105,16 +112,7 @@ def _plan_signature(cell: ExperimentCell) -> str | None:
     """
     if cell.system != "mobius":
         return None
-    config = cell.mobius_config
-    if config is None:
-        mbs = cell.microbatch_size or cell.model.default_microbatch_size
-        # Mirrors run_system's default-config construction so the key
-        # below matches what the cell will actually solve.
-        config = MobiusConfig(
-            microbatch_size=mbs,
-            n_microbatches=cell.n_microbatches,
-            partition_time_limit=1.0,
-        )
+    config = cell_mobius_config(cell)
     if config.partition_method != "mip":
         return None
     return fingerprint(partition_solve_key(cell.model, cell.topology, config))
@@ -229,19 +227,7 @@ def _cell_worker(cell: ExperimentCell) -> tuple[SystemResult, dict]:
     cache = get_cache()
     before = cache.stats_snapshot()
     result = run_cell(cell)
-    return result, _stats_delta(before, cache.stats_snapshot())
-
-
-def _stats_delta(before: dict, after: dict) -> dict:
-    delta: dict[str, dict] = {}
-    for namespace, counters in after.items():
-        previous = before.get(namespace, {})
-        entry = {
-            key: value - previous.get(key, 0) for key, value in counters.items()
-        }
-        if any(entry.values()):
-            delta[namespace] = entry
-    return delta
+    return result, stats_delta(before, cache.stats_snapshot())
 
 
 def run_cells(

@@ -13,10 +13,6 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
    ``run_system`` call they make is a cache hit, so assembly is cheap and
    its output order is the requested order.
 
-(The previous design parallelised whole figure modules, pinning each
-worker's per-cell fan-out with ``REPRO_JOBS=1``; the cell scheduler
-replaces both levels, so that pin is gone.)
-
 The timing report records per-figure wall time and cache counters, the
 schedule's dedup counters, and two determinism fingerprints:
 ``cells_fingerprint`` (the deterministic faces of every unique cell's
@@ -50,13 +46,14 @@ import time
 from collections.abc import Sequence
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import ExperimentTable, default_jobs
+from repro.experiments.runner import ExperimentTable
 from repro.experiments.schedule import run_cells
 from repro.perf.cache import (
     CACHE_VERSION,
     cache_overridden,
     get_cache,
     merge_stats,
+    stats_delta,
 )
 
 __all__ = [
@@ -191,12 +188,7 @@ class SuiteReport:
             "machine": {
                 "platform": platform.platform(),
                 "python": platform.python_version(),
-                # Both sides of the worker-count decision (satellite of
-                # DESIGN.md §12): what the container reports, and what the
-                # REPRO_JOBS override requested — containers often report
-                # one CPU while more cores are actually available.
                 "cpus": os.cpu_count(),
-                "repro_jobs_env": os.environ.get("REPRO_JOBS"),
             },
             "schedule": self.schedule,
             "output_fingerprint": self.output_fingerprint,
@@ -210,9 +202,7 @@ def _execute_figure(name: str, fast: bool) -> FigureRun:
     from repro.experiments.runner import print_tables
 
     cache = get_cache()
-    before = {
-        namespace: stats.as_dict() for namespace, stats in cache.stats.items()
-    }
+    before = cache.stats_snapshot()
     started = time.perf_counter()
     module = importlib.import_module(f"repro.experiments.{name}")
     if "fast" in module.run.__code__.co_varnames:
@@ -225,14 +215,7 @@ def _execute_figure(name: str, fast: bool) -> FigureRun:
     with contextlib.redirect_stdout(buffer):
         print_tables(tables)
 
-    delta: dict[str, dict] = {}
-    for namespace, stats in cache.stats.items():
-        previous = before.get(namespace, {})
-        entry = {
-            key: value - previous.get(key, 0) for key, value in stats.as_dict().items()
-        }
-        if any(entry.values()):
-            delta[namespace] = entry
+    delta = stats_delta(before, cache.stats_snapshot())
     return FigureRun(name=name, seconds=seconds, output=buffer.getvalue(), cache_stats=delta)
 
 
@@ -539,12 +522,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--cache-dir", default=None, help="override the on-disk cache directory"
     )
     args = parser.parse_args(argv)
-
-    try:
-        default_jobs()  # fail fast on a malformed REPRO_JOBS before any work
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     names = resolve_names(args.names)
     if not names:

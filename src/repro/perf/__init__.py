@@ -1,4 +1,4 @@
-"""Performance layer: content-addressed memoization and parallel helpers.
+"""Performance layer: content-addressed memoization.
 
 The experiment suite re-solves identical planning problems and re-simulates
 identical training steps many times over — ``fig5``, ``fig7`` and ``fig8``
@@ -14,9 +14,8 @@ each cell once:
 
 :func:`repro.core.api.plan_mobius` and
 :func:`repro.experiments.runner.run_system` consult the global cache
-transparently; :func:`repro.experiments.runner.run_systems_parallel` and
-:mod:`repro.experiments.suite` fan work out across processes that share the
-on-disk tier.
+transparently; the suite's cell drain (:mod:`repro.experiments.schedule`)
+fans cells out across processes that share the on-disk tier.
 """
 
 from repro.perf.cache import (

@@ -46,6 +46,7 @@ __all__ = [
     "configure_cache",
     "get_cache",
     "merge_stats",
+    "stats_delta",
 ]
 
 #: On-disk entry format version; bump to invalidate all persisted entries.
@@ -304,6 +305,21 @@ def merge_stats(*snapshots: dict) -> dict:
             for key, value in counters.items():
                 into[key] = into.get(key, 0) + value
     return {namespace: merged[namespace] for namespace in sorted(merged)}
+
+
+def stats_delta(before: dict, after: dict) -> dict:
+    """Counters accumulated between two :meth:`ResultCache.stats_snapshot` calls.
+
+    Namespaces whose counters did not move are left out, so the result is
+    what one unit of work (a drained cell, an assembled figure) looked up.
+    """
+    delta: dict[str, dict] = {}
+    for namespace, counters in after.items():
+        previous = before.get(namespace, {})
+        entry = {key: value - previous.get(key, 0) for key, value in counters.items()}
+        if any(entry.values()):
+            delta[namespace] = entry
+    return delta
 
 
 _cache = ResultCache()

@@ -321,13 +321,13 @@ def run_bench(workers: int | None = None) -> dict[str, Any]:
 
     Args:
         workers: Top of the worker-scaling ladder (the bench always
-            measures 1 and 2 as well).  ``None`` consults ``REPRO_JOBS``
-            / :func:`repro.experiments.runner.resolve_jobs`, capped at 4,
-            so an unconfigured run never oversubscribes its container.
+            measures 1 and 2 as well).  ``None`` means the CPU count
+            capped at 4 — the count ``scaling.cpus`` records — so an
+            unconfigured run never oversubscribes its host.
     """
-    from repro.experiments.runner import resolve_jobs
-
-    top_workers = resolve_jobs(workers, ceiling=4)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    top_workers = workers if workers is not None else min(4, os.cpu_count() or 1)
     worker_counts = tuple(sorted({1, 2, top_workers}))
     workdir = Path(tempfile.mkdtemp(prefix="repro-servebench-"))
     try:
@@ -352,28 +352,47 @@ def write_bench(path: Path | str, document: dict[str, Any] | None = None) -> dic
 
 
 def compare_benchmarks(
-    current: dict[str, Any], baseline: dict[str, Any]
+    current: dict[str, Any], baseline: dict[str, Any] | None = None
 ) -> list[str]:
-    """CI gate: regressions of ``current`` against the committed baseline.
+    """CI gate: failures of ``current``, alone and against ``baseline``.
 
-    Returns a list of human-readable failures (empty = gate passes):
+    Returns a list of human-readable failures (empty = gate passes).
+    Invariants, failed even without a baseline:
 
-    * a corpus cell's plan fingerprint diverged from the baseline, or the
-      four serving regimes disagree with each other (``consistent``);
-    * a chaos recovery scenario no longer passes;
+    * the four serving regimes disagree on a corpus cell's plan
+      (``plans[].consistent``);
+    * a chaos recovery scenario does not pass (``recovery[].ok``);
+    * the worker-scaling rows returned divergent fingerprints across
+      worker counts (``scaling.consistent``).
+
+    With a baseline:
+
+    * a corpus cell's plan fingerprint diverged from the baseline;
     * a throughput regime's plans/sec dropped below
       ``1 / THROUGHPUT_REGRESSION_RATIO`` of the baseline;
-    * the worker-scaling rows returned divergent fingerprints across
-      worker counts (gated everywhere), or the top-vs-1 speedup fell
-      below ``SCALING_SPEEDUP_FLOOR`` — gated only when the *current*
-      host has >= 4 CPUs, because process workers cannot scale on fewer
-      cores no matter what the code does; wall-clock facts are compared
-      against the hardware that produced them, never across machines.
-
-    Rows present only on one side are failures too — the corpus and the
-    scenario list are part of the contract.
+    * the top-vs-1 speedup fell below ``SCALING_SPEEDUP_FLOOR`` — gated
+      only when the *current* host has >= 4 CPUs, because process workers
+      cannot scale on fewer cores no matter what the code does; wall-clock
+      facts are compared against the hardware that produced them, never
+      across machines;
+    * rows present only on one side — the corpus and the scenario list
+      are part of the contract.
     """
-    failures: list[str] = []
+    failures = [
+        f"plans:{row['name']}: serving regimes returned divergent fingerprints"
+        for row in current.get("plans", [])
+        if not row.get("consistent", False)
+    ]
+    failures.extend(
+        f"recovery:{row['name']}: chaos scenario no longer passes"
+        for row in current.get("recovery", [])
+        if not row.get("ok", False)
+    )
+    cur_scaling = current.get("scaling")
+    if cur_scaling is not None and not cur_scaling.get("consistent", False):
+        failures.append("scaling: fingerprints diverged across worker counts")
+    if baseline is None:
+        return failures
 
     base_plans = {row["name"]: row for row in baseline.get("plans", [])}
     cur_plans = {row["name"]: row for row in current.get("plans", [])}
@@ -384,10 +403,6 @@ def compare_benchmarks(
         if name not in base_plans:
             failures.append(f"plans:{name}: cell missing from baseline")
             continue
-        if not cur_plans[name].get("consistent", False):
-            failures.append(
-                f"plans:{name}: serving regimes returned divergent fingerprints"
-            )
         if cur_plans[name]["fingerprint"] != base_plans[name]["fingerprint"]:
             failures.append(
                 f"plans:{name}: fingerprint diverged from baseline "
@@ -403,9 +418,6 @@ def compare_benchmarks(
             continue
         if name not in base_rec:
             failures.append(f"recovery:{name}: scenario missing from baseline")
-            continue
-        if not cur_rec[name].get("ok", False):
-            failures.append(f"recovery:{name}: chaos scenario no longer passes")
 
     base_tp = {row["name"]: row for row in baseline.get("throughput", [])}
     cur_tp = {row["name"]: row for row in current.get("throughput", [])}
@@ -427,15 +439,10 @@ def compare_benchmarks(
                 f"(>{THROUGHPUT_REGRESSION_RATIO:.2f}x)"
             )
 
-    cur_scaling = current.get("scaling")
     if cur_scaling is None:
         if baseline.get("scaling") is not None:
             failures.append("scaling: section missing from current run")
     else:
-        if not cur_scaling.get("consistent", False):
-            failures.append(
-                "scaling: fingerprints diverged across worker counts"
-            )
         cpus = cur_scaling.get("cpus") or 1
         speedup = cur_scaling.get("speedup_top_vs_1")
         top = cur_scaling.get("top_workers") or 1

@@ -253,7 +253,7 @@ class TestMob006:
 class TestMob007:
     def test_global_write_from_worker_frontier_is_flagged(self):
         report = _analyze(
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
             def _worker_init(config):
@@ -278,7 +278,7 @@ class TestMob007:
         )
         report = _analyze(
             config,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
             def _worker_init(config):
@@ -305,10 +305,10 @@ class TestMob007:
                 def __post_init__(self):
                     self.uid = next(_uids)
             """,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.sim.tasks import Task
 
-            def _run_cell(cell):
+            def _cell_worker(cell):
                 return Task()
             """,
         )
@@ -342,7 +342,7 @@ class TestMob007:
                 _cache = {}
                 _cache["x"] = 1
             """,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import lookup, local_shadow
 
             def _worker_init(config):

@@ -1,15 +1,14 @@
-"""Parallel experiment runner: determinism and OOM passthrough."""
+"""The drain is the only cell pool: OOM passthrough, parent adoption, and
+uncached figure runs that start no pool at all."""
 
+import io
 import math
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentCell,
-    default_jobs,
-    run_system,
-    run_systems_parallel,
-)
+from repro.experiments.runner import ExperimentCell
+from repro.experiments.schedule import drain
+from repro.experiments.suite import run_suite
 from repro.hardware.topology import topo_2_2
 from repro.models.zoo import gpt_8b
 from repro.perf.cache import cache_overridden
@@ -37,103 +36,63 @@ def cells(tiny_model):
     ]
 
 
-class TestDefaultJobs:
-    """Satellite: REPRO_JOBS beats a (often wrong) container CPU count."""
-
-    def test_env_override_wins_over_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "6")
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert default_jobs() == 6
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert default_jobs() == 3
-
-    def test_cpu_count_none_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert default_jobs() == 1
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_invalid_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_JOBS", bad)
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            default_jobs()
-
-    def test_run_systems_parallel_defers_to_env(self, monkeypatch, tiny_model):
-        """jobs=None must consult default_jobs(); REPRO_JOBS=1 keeps the
-        run serial in-process (no pool), which we observe via a poisoned
-        ProcessPoolExecutor.
-        """
-        import repro.experiments.runner as runner_module
-
-        monkeypatch.setenv("REPRO_JOBS", "1")
-
-        def boom(*args, **kwargs):  # pragma: no cover - would fail the test
-            raise AssertionError("pool should not be created with REPRO_JOBS=1")
-
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", boom)
-        cells = [
-            ExperimentCell("gpipe", tiny_model, topo_2_2(), microbatch_size=1),
-            ExperimentCell("deepspeed", tiny_model, topo_2_2(), microbatch_size=1),
-        ]
-        with cache_overridden(memory=True, disk=False):
-            results = run_systems_parallel(cells)
-        assert [r.status for r in results] == ["ok", "ok"]
-
-
 class TestRunSystemsParallel:
-    def test_order_and_values_match_serial(self, cells, tmp_path):
+    """Cells run in parallel by a jobs=2 drain over a memory-only cache: the
+    parent sees pool results only through adoption, never through a shared
+    disk tier."""
+
+    def test_order_and_values_match_serial(self, cells):
         with cache_overridden(memory=False, disk=False):
             serial = [cell.run() for cell in cells]
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            parallel = run_systems_parallel(cells, jobs=2)
+        with cache_overridden(memory=True, disk=False):
+            drain([("t", cell) for cell in cells], jobs=2)
+            parallel = [cell.run() for cell in cells]
         assert [_comparable(r) for r in parallel] == [_comparable(r) for r in serial]
 
-    def test_oom_cells_pass_through(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            results = run_systems_parallel(cells, jobs=2)
-        assert results[1].status == "oom"
-        assert not results[1].ok and results[1].trace is None
+    def test_oom_cells_pass_through(self, cells):
+        with cache_overridden(memory=True, disk=False) as cache:
+            report = drain([("t", cell) for cell in cells], jobs=2)
+            oom, found = cache.lookup("system", cells[1])
+        assert report.cells_computed == len(cells)
+        assert found
+        assert oom.status == "oom" and not oom.ok
+        assert math.isnan(oom.step_seconds)
+        assert oom.trace is None
 
-    def test_serial_fallback_matches(self, cells):
-        with cache_overridden(memory=True, disk=False):
-            via_jobs1 = run_systems_parallel(cells, jobs=1)
-            serial = [cell.run() for cell in cells]
-        assert [_comparable(r) for r in via_jobs1] == [_comparable(r) for r in serial]
-
-    def test_results_seed_parent_cache(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)) as cache:
-            run_systems_parallel(cells, jobs=2)
+    def test_results_seed_parent_cache(self, cells):
+        with cache_overridden(memory=True, disk=False) as cache:
+            drain([("t", cell) for cell in cells], jobs=2)
             cache.reset_stats()
-            rerun = cells[0].run()
-            assert cache.stats["system"].memory_hits == 1
-            assert rerun.status == "ok"
+            adopted = [cell.run() for cell in cells]
+            assert cache.stats["system"].memory_hits == len(cells)
+            assert cache.stats["system"].misses == 0
+        assert [r.status for r in adopted] == ["ok", "oom", "ok", "ok"]
 
-    def test_warm_cache_skips_worker_roundtrip(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            first = run_systems_parallel(cells, jobs=2)
-            second = run_systems_parallel(cells, jobs=2)  # all hits, no pool needed
-        assert [_comparable(r) for r in first] == [_comparable(r) for r in second]
 
-    def test_identical_tables_from_serial_cached_and_parallel(self, cells, tmp_path):
-        """The acceptance check: identical numbers whichever way cells run."""
-        from repro.experiments.runner import ExperimentTable
+class TestNoSecondPool:
+    def test_uncached_sweeps_start_no_pool(self, monkeypatch):
+        """``jobs=1, use_cache=False`` is serial: Figures 14 and 16 run
+        their cells in-process.  The host claims four CPUs so that a pool
+        sized from the CPU count would show up on any runner."""
 
-        def build_table(results):
-            table = ExperimentTable("determinism", ("system", "step_s", "traffic"))
-            for result in results:
-                table.add_row(
-                    result.system,
-                    result.step_seconds,
-                    result.trace.total_transfer_bytes() if result.trace else None,
-                )
-            return table.format()
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial uncached suite started a process pool")
 
-        with cache_overridden(memory=False, disk=False):
-            cold = build_table([cell.run() for cell in cells])
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            warm_parallel = build_table(run_systems_parallel(cells, jobs=2))
-            warm_cached = build_table([cell.run() for cell in cells])
-        assert cold == warm_parallel == warm_cached
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            "concurrent.futures.process.ProcessPoolExecutor.__init__", no_pool
+        )
+        report = run_suite(
+            ["fig14_scalability", "fig16_dc_bandwidth"],
+            fast=True,
+            jobs=1,
+            use_cache=False,
+            stream=io.StringIO(),
+        )
+        assert [figure.name for figure in report.figures] == [
+            "fig14_scalability",
+            "fig16_dc_bandwidth",
+        ]
+        assert report.schedule is None
+        assert "Figure 14" in report.figures[0].output
+        assert "Figure 16" in report.figures[1].output

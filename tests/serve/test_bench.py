@@ -1,5 +1,10 @@
 """compare_benchmarks gate logic on synthetic documents (no bench run)."""
 
+import json
+
+import pytest
+
+from repro.cli import main
 from repro.serve.bench import BENCH_SCHEMA, compare_benchmarks
 
 
@@ -137,3 +142,48 @@ class TestGateFails:
         assert any("missing from current run" in f for f in missing_current)
         missing_baseline = compare_benchmarks(_document(), dropped)
         assert any("missing from baseline" in f for f in missing_baseline)
+
+
+class TestInvariantsWithoutBaseline:
+    def test_invariants_fail_alone(self):
+        current = _mutated("plans", 1, consistent=False)
+        current["recovery"][0]["ok"] = False
+        current["scaling"] = dict(current["scaling"], consistent=False)
+        assert compare_benchmarks(current) == [
+            "plans:gpt-b/topo_2_2: serving regimes returned divergent fingerprints",
+            "recovery:worker-crash-midsolve: chaos scenario no longer passes",
+            "scaling: fingerprints diverged across worker counts",
+        ]
+
+    def test_baseline_gates_need_a_baseline(self):
+        # Fingerprint and throughput rows compare against a baseline only.
+        assert compare_benchmarks(_document()) == []
+        current = _mutated("plans", 0, fingerprint="cccc3333")
+        current["throughput"][0]["plans_per_second"] = 1.0
+        assert compare_benchmarks(current) == []
+
+
+class TestCliReportsEachFailureOnce:
+    @pytest.mark.parametrize("with_baseline", [False, True])
+    def test_one_bad_plan_row_is_one_failure_line(
+        self, monkeypatch, tmp_path, capsys, with_baseline
+    ):
+        current = _mutated("plans", 1, consistent=False)
+        monkeypatch.setattr(
+            "repro.serve.bench.run_bench", lambda workers=None: current
+        )
+        argv = ["servebench"]
+        if with_baseline:
+            baseline = tmp_path / "BENCH_serve.json"
+            baseline.write_text(json.dumps(_document()))
+            argv += ["--check-against", str(baseline)]
+        assert main(argv) == 1
+        failures = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAIL ")
+        ]
+        assert failures == [
+            "FAIL plans:gpt-b/topo_2_2: serving regimes returned divergent "
+            "fingerprints"
+        ]

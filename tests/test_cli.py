@@ -53,17 +53,3 @@ class TestCommands:
     def test_figures_unknown_name(self, capsys):
         code = main(["figures", "fig99"])
         assert code == 1
-
-    def test_malformed_repro_jobs_fails_fast(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "bogus")
-        code = main(["figures", "table1"])
-        assert code == 2
-        assert "REPRO_JOBS" in capsys.readouterr().err
-
-    def test_suite_rejects_malformed_repro_jobs(self, monkeypatch, capsys):
-        from repro.experiments.suite import main as suite_main
-
-        monkeypatch.setenv("REPRO_JOBS", "-3")
-        code = suite_main(["table1"])
-        assert code == 2
-        assert "REPRO_JOBS" in capsys.readouterr().err
