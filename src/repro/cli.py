@@ -511,6 +511,7 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
                 f"corpus {row['name']:<18} events={row['events']:<6} "
                 f"realloc={row['reallocations']:<5} "
                 f"touched/realloc={row['flows_touched_per_reallocation']:<6} "
+                f"reused={row['fills_reused']:<5} "
                 f"fp={row['fingerprint'][:12]}"
             )
         for row in document["chaos"]:
@@ -522,6 +523,7 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
         for row in document.get("large", []):
             print(
                 f"large {row['name']:<18} events={row['events']:<8} "
+                f"reused={row['fills_reused']:<8} "
                 f"wall={row['wall_seconds']:<8} rss={row['peak_rss_mb']}MB "
                 f"fp={row['fingerprint'][:12]}"
             )

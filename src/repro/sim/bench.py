@@ -8,7 +8,8 @@ from the check corpus (:mod:`repro.check.corpus`) and emits
   trace fingerprint (:mod:`repro.perf.fingerprint` over the columnar trace
   views) and the incremental allocator's deterministic work counters:
   events processed, reallocation calls, components and rounds of
-  progressive filling, and flows touched per reallocation;
+  progressive filling, fills answered from the network's fill memo, and
+  flows touched per reallocation;
 * **chaos rows** — every fault scenario of :mod:`repro.faults.chaos` per
   cell (including windowed ``set_bandwidth_scale`` epochs and dropout
   re-plans), fingerprinted the same way;
@@ -67,7 +68,9 @@ WORK_REGRESSION_RATIO = 1.25
 
 #: Counters gated by :func:`compare_benchmarks` (all integers, all
 #: deterministic; ``flows_touched`` is the incremental allocator's headline
-#: number — a from-scratch refill regression shows up there first).
+#: number — a from-scratch refill regression shows up there first).  The
+#: rows' ``fills_reused`` is informational: more reuse is better, so a
+#: growth gate would be backwards.
 GATED_COUNTERS = (
     "events",
     "reallocations",
@@ -103,6 +106,7 @@ def _run_corpus_rows() -> list[dict[str, Any]]:
                 "reallocations": reallocations,
                 "components_filled": stats.components_filled,
                 "fill_rounds": stats.fill_rounds,
+                "fills_reused": stats.fills_reused,
                 "flows_touched": stats.flows_touched,
                 "flows_touched_per_reallocation": (
                     round(stats.flows_touched / reallocations, 3)
@@ -219,6 +223,7 @@ def _run_large_rows(
                 "reallocations": reallocations,
                 "components_filled": stats.components_filled,
                 "fill_rounds": stats.fill_rounds,
+                "fills_reused": stats.fills_reused,
                 "flows_touched": stats.flows_touched,
                 "flows_touched_per_reallocation": (
                     round(stats.flows_touched / reallocations, 3)

@@ -23,6 +23,12 @@ Two oracle granularities pin down the contract precisely:
   on the production workloads the two are floating-point coincident, which
   is exactly the trace-byte compatibility the corpus-workload test (and
   the ``repro simbench`` fingerprint gate) asserts.
+
+The checked network also replays every component closure with the old
+quadratic walk (every member of every edge of every popped flow) and
+requires the edge-scanned production closure to return the same flows in
+the same order, and a directed test pins the per-network fill memo's
+invalidation at bandwidth-scale epochs.
 """
 
 from __future__ import annotations
@@ -104,6 +110,26 @@ def _split_components(records):
     return components
 
 
+def quadratic_closure(edge_members, seeds):
+    """The old ``FlowNetwork._closure``: rescans every edge of every flow."""
+    seen = set()
+    stack = []
+    for flow in seeds:
+        if flow.uid not in seen:
+            seen.add(flow.uid)
+            stack.append(flow)
+    out = []
+    while stack:
+        flow = stack.pop()
+        out.append(flow)
+        for edge in flow.path:
+            for uid, other in edge_members[edge].items():
+                if uid not in seen:
+                    seen.add(uid)
+                    stack.append(other)
+    return out
+
+
 def oracle_rates(network: FlowNetwork, *, decompose: bool) -> dict[int, float]:
     """From-scratch rates for the network's current flow set.
 
@@ -136,6 +162,18 @@ class CheckedFlowNetwork(FlowNetwork):
     def __init__(self, sim, topology):
         super().__init__(sim, topology)
         self.checked_reallocations = 0
+        self.checked_closures = 0
+
+    def _closure(self, seeds):
+        seeds = list(seeds)
+        out = super()._closure(seeds)
+        expected = quadratic_closure(self._edge_members, seeds)
+        assert [flow.uid for flow in out] == [flow.uid for flow in expected], (
+            f"edge-scanned closure diverged from the quadratic walk at "
+            f"t={self.sim.now}"
+        )
+        self.checked_closures += 1
+        return out
 
     def _reallocate(self, touched=None):
         super()._reallocate(touched)
@@ -207,6 +245,7 @@ def _run_fuzz(topology, seed, n_arrivals=40, with_scales=True):
     # Every arrival reallocates with >= 1 active flow, so each one passed
     # through the checked fill (completions may leave the network empty).
     assert network.checked_reallocations >= n_arrivals
+    assert network.checked_closures >= n_arrivals
     return network
 
 
@@ -230,6 +269,66 @@ class TestIncrementalMatchesOracle:
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)
         assert network.stats.reallocations == network.checked_reallocations
+
+
+class TestFillMemoAcrossScaleEpochs:
+    """One flow set recurs before, during and after a scale window.
+
+    Each burst starts the same two flows through GPU 0's and GPU 1's shared
+    switch uplink, as the microbatches of a pipelined step do, so every
+    fill after the first burst of an epoch is answered from the memo.  A
+    memo that outlived a scale epoch would hand the in-window bursts the
+    nominal rates (and the later bursts the degraded ones), which the
+    checked network's from-scratch oracle rejects.
+    """
+
+    def test_rates_follow_the_oracle_and_fills_repeat(self):
+        topology = topo_2_2()
+        sim = Simulator()
+        network = CheckedFlowNetwork(sim, topology)
+        path_a = topology.path_to_dram(0)
+        path_b = topology.path_to_dram(1)
+        uplink = ("sw0", "rc0")
+        assert uplink in path_a and uplink in path_b
+        network.set_bandwidth_scale(uplink, 0.5, start=2.5, end=4.5)
+
+        probes: dict[int, tuple[float, ...]] = {}
+        reused_at: dict[str, int] = {}
+
+        def burst(at):
+            network.start_flow(path_a, 1.0 * GB, lambda: None, label="a")
+            network.start_flow(path_b, 0.5 * GB, lambda: None, label="b")
+
+            def probe():
+                probes[at] = tuple(flow.rate for flow in network.active_flows)
+
+            sim.schedule(0.01, probe)
+
+        for at in range(7):
+            sim.schedule_at(float(at), lambda at=at: burst(at))
+        for stage, at in (("before", 2.4), ("during", 4.4)):
+            sim.schedule_at(
+                at, lambda stage=stage: reused_at.update(
+                    {stage: network.stats.fills_reused}
+                )
+            )
+        sim.run()
+        reused_at["after"] = network.stats.fills_reused
+
+        before = [probes[at] for at in (0, 1, 2)]
+        during = [probes[at] for at in (3, 4)]
+        after = [probes[at] for at in (5, 6)]
+        nominal = topology.bandwidth_of(uplink) / 2
+        assert before[0] == (nominal, nominal)
+        assert all(rates == before[0] for rates in before + after)
+        assert during[0] == (nominal * 0.5, nominal * 0.5)
+        assert all(rates == during[0] for rates in during)
+        # Every epoch re-ran its first fills and then reused them.
+        assert reused_at["before"] > 0
+        assert reused_at["during"] > reused_at["before"]
+        assert reused_at["after"] > reused_at["during"]
+        assert network.stats.scale_epochs == 2
+        assert network.checked_reallocations == network.stats.reallocations
 
 
 class TestLegacyGlobalFillOnProductionWorkload:

@@ -24,6 +24,7 @@ def _doc(**overrides):
                 "reallocations": 40,
                 "components_filled": 40,
                 "fill_rounds": 60,
+                "fills_reused": 12,
                 "flows_touched": 60,
                 "flows_touched_per_reallocation": 1.5,
                 "wall_seconds": 0.05,
@@ -46,6 +47,7 @@ def _doc(**overrides):
                 "reallocations": 1_041_924,
                 "components_filled": 824_962,
                 "fill_rounds": 824_962,
+                "fills_reused": 749_179,
                 "flows_touched": 1_242_966,
                 "flows_touched_per_reallocation": 1.193,
                 "wall_seconds": 70.0,
@@ -66,6 +68,15 @@ class TestCompareBenchmarks:
         slow["corpus"][0]["wall_seconds"] = 999.0
         slow["chaos"][0]["wall_seconds"] = 999.0
         assert compare_benchmarks(slow, _doc()) == []
+
+    def test_fills_reused_is_informational(self):
+        # More memo reuse is better, so neither direction may fail the gate.
+        assert "fills_reused" not in GATED_COUNTERS
+        for reused in (0, 10_000):
+            moved = _doc()
+            moved["corpus"][0]["fills_reused"] = reused
+            moved["large"][0]["fills_reused"] = reused * 100
+            assert compare_benchmarks(moved, _doc()) == []
 
     def test_fingerprint_divergence_fails(self):
         bad = _doc()
@@ -139,6 +150,8 @@ class TestSimbenchCli:
         out = capsys.readouterr().out
         assert "gpt-a/topo_2_2" in out
         assert "touched/realloc=" in out
+        assert "reused=12 " in out
+        assert "reused=749179 " in out
         assert "dc-1024x4-r256" in out
         assert "rss=" in out
 
@@ -172,6 +185,9 @@ class TestSimbenchCli:
             # The incremental allocator's headline property: a reallocation
             # touches a small component, not the whole flow population.
             assert row["flows_touched_per_reallocation"] < 10
+            # Pipelined microbatches repeat component states: the fill
+            # memo answers some fills on every corpus cell.
+            assert row["fills_reused"] > 0
         for row in committed["chaos"]:
             assert row["status"] in ("ok", "infeasible")
             assert (row["fingerprint"] is None) == (row["status"] == "infeasible")
@@ -181,4 +197,5 @@ class TestSimbenchCli:
             assert row["events"] >= 1_000_000
             assert row["fingerprint"] and len(row["fingerprint"]) == 64
             assert row["flows_touched_per_reallocation"] < 10
+            assert row["fills_reused"] > 0
             assert row["wall_seconds"] > 0 and row["peak_rss_mb"] > 0
